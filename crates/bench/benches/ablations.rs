@@ -1,4 +1,5 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
+//! Ablation benchmarks for the design choices the README's "Sweep
+//! policies" section and the paper's §2.1 and §2.4 describe:
 //!
 //! * **Sweep scheduling** — the paper's restart-on-rewrite loop vs.
 //!   continuing the sweep after a view refresh.

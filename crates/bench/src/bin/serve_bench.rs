@@ -2,7 +2,8 @@
 //!
 //! Boots in-process [`pypm::serve::Server`]s and drives them with
 //! concurrent clients, emitting **four** latency series into
-//! `crates/bench/BENCH_serve.json` (schema `pypm.bench.serve.v4`):
+//! `crates/bench/BENCH_serve.json` (schema `pypm.bench.serve.v5`, which
+//! is v4 without the `jobs` field):
 //!
 //! * `compile` — the result cache disabled, every request a full
 //!   compile (the old `pypm.bench.serve.v1` measurement);
@@ -26,7 +27,7 @@
 //!
 //! ```sh
 //! cargo run --release -p bench --bin serve_bench -- \
-//!     [--clients N] [--requests N] [--model M] [--jobs N] \
+//!     [--clients N] [--requests N] [--model M] \
 //!     [--workers N] [--queue N] [--out FILE]
 //! ```
 //!
@@ -45,7 +46,6 @@ struct Args {
     clients: usize,
     requests: usize,
     model: String,
-    jobs: usize,
     workers: usize,
     queue: usize,
     out: String,
@@ -56,7 +56,6 @@ fn parse_args() -> Args {
         clients: 8,
         requests: 12,
         model: "bert-small".to_owned(),
-        jobs: 4,
         workers: 2,
         queue: 16,
         out: concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_serve.json").to_owned(),
@@ -77,7 +76,6 @@ fn parse_args() -> Args {
             "--clients" => args.clients = numeric(&value).max(1),
             "--requests" => args.requests = numeric(&value).max(1),
             "--model" => args.model = value,
-            "--jobs" => args.jobs = numeric(&value).max(1),
             "--workers" => args.workers = numeric(&value).max(1),
             "--queue" => args.queue = numeric(&value),
             "--out" => args.out = value,
@@ -90,16 +88,11 @@ fn parse_args() -> Args {
     args
 }
 
-/// Masks the volatile fields (wall clocks, warm-pool reuse) of a
+/// Masks the volatile fields (wall clocks) of a
 /// `pypm.pipeline.v1` document so responses can be compared for
 /// counter equivalence.
 fn mask_volatile(json: &str) -> String {
-    let fields = [
-        "\"wall_ms\": ",
-        "\"duration_ms\": ",
-        "\"warm_wall_ms\": ",
-        "\"pool_spawn_reuse\": ",
-    ];
+    let fields = ["\"wall_ms\": ", "\"duration_ms\": "];
     let mut out = String::with_capacity(json.len());
     let mut rest = json;
     loop {
@@ -137,7 +130,6 @@ struct SeriesResult {
 
 fn run_series(args: &Args, cache_capacity: usize) -> SeriesResult {
     let server = Server::bind(ServeConfig {
-        jobs: args.jobs,
         workers: args.workers,
         queue_depth: args.queue,
         cache_capacity,
@@ -145,7 +137,7 @@ fn run_series(args: &Args, cache_capacity: usize) -> SeriesResult {
     })
     .expect("bind on an ephemeral port");
     let addr = server.addr();
-    let line = format!("compile {} jobs={}", args.model, args.jobs);
+    let line = format!("compile {}", args.model);
 
     // The equivalence reference: one warm-up request, outside the
     // measured window. With the cache enabled this also primes it, so
@@ -234,7 +226,6 @@ fn run_series(args: &Args, cache_capacity: usize) -> SeriesResult {
 /// cooperative budget unwinds a doomed compile.
 fn run_deadline_series(args: &Args) -> SeriesResult {
     let server = Server::bind(ServeConfig {
-        jobs: args.jobs,
         workers: args.workers,
         queue_depth: args.queue,
         cache_capacity: 0,
@@ -242,7 +233,7 @@ fn run_deadline_series(args: &Args) -> SeriesResult {
     })
     .expect("bind on an ephemeral port");
     let addr = server.addr();
-    let line = format!("compile {} jobs={} step_limit=1", args.model, args.jobs);
+    let line = format!("compile {} step_limit=1", args.model);
 
     let clock = Instant::now();
     let handles: Vec<_> = (0..args.clients)
@@ -333,7 +324,6 @@ fn parse_queued_ms(body: &str) -> Option<f64> {
 /// legitimately spent waiting behind the pinned worker.
 fn run_shed_series(args: &Args) -> SeriesResult {
     let server = Server::bind(ServeConfig {
-        jobs: args.jobs,
         workers: 1,
         queue_depth: args.queue.max(args.clients + 4),
         cache_capacity: 0,
@@ -341,8 +331,8 @@ fn run_shed_series(args: &Args) -> SeriesResult {
     })
     .expect("bind on an ephemeral port");
     let addr = server.addr();
-    let pin_line = format!("compile {} jobs={}", args.model, args.jobs);
-    let doomed_line = format!("compile {} jobs={} timeout_ms=1", args.model, args.jobs);
+    let pin_line = format!("compile {}", args.model);
+    let doomed_line = format!("compile {} timeout_ms=1", args.model);
 
     // Hold the worker for ≥ 20 ms per compile regardless of how fast
     // the model compiles: without the floor, a small model in release
@@ -506,14 +496,13 @@ fn main() {
     let compile_rps = compile.latencies_ms.len() as f64 / compile.wall_s;
     let hit_rps = cache_hit.latencies_ms.len() as f64 / cache_hit.wall_s;
     let json = format!(
-        "{{\n  \"schema\": \"pypm.bench.serve.v4\",\n  \"model\": \"{}\",\n  \
-         \"jobs\": {},\n  \"workers\": {},\n  \"queue_depth\": {},\n  \
+        "{{\n  \"schema\": \"pypm.bench.serve.v5\",\n  \"model\": \"{}\",\n  \
+         \"workers\": {},\n  \"queue_depth\": {},\n  \
          \"clients\": {},\n  \"requests_per_client\": {},\n  \"series\": {{\n    \
          \"compile\": {},\n    \"cache_hit\": {},\n    \"deadline\": {},\n    \
          \"shed\": {}\n  }},\n  \
          \"cache_hit_speedup\": {:.3},\n  \"counters_equivalent\": true\n}}\n",
         args.model,
-        args.jobs,
         args.workers,
         args.queue,
         args.clients,

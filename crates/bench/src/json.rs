@@ -1,7 +1,7 @@
 //! A minimal JSON reader for the bench-regression gate.
 //!
-//! The repository builds offline (the serde shims under `vendor/` are
-//! derive markers only), so the `bench-compare` CI gate parses its two
+//! The repository builds offline with no JSON library, so the
+//! `bench-compare` CI gate parses its two
 //! `BENCH_rewrite_pass.json` inputs with this hand-rolled
 //! recursive-descent reader instead. It supports exactly the JSON the
 //! bench writer emits: objects, arrays, strings with the writer's

@@ -585,8 +585,8 @@ impl PatternStore {
     /// whose head operator is *not* in `s` is a **guaranteed machine
     /// failure** — the first decomposition step conflicts on every
     /// branch. `RootFilter::Any` means no pruning is possible (the root
-    /// can be a variable or a function-variable application). Parallel
-    /// probe scheduling uses this to resolve head-mismatch candidates
+    /// can be a variable or a function-variable application). A probe
+    /// scheduler can use this to resolve head-mismatch candidates
     /// without running the machine at all (the classic root-op indexing
     /// of e-graph and pattern-driver engines).
     ///

@@ -8,20 +8,18 @@
 //! even hand to the machine — is a pluggable index. This module defines
 //! that seam as the [`Matcher`] trait and ships both backends:
 //!
-//! * [`PerPatternMatcher`] — the historical path: no index in serial
-//!   mode (every pair goes to the machine), the per-pattern
-//!   [`RootFilter`] head check in parallel mode. Byte-for-byte the
-//!   engine's pre-seam behaviour.
+//! * [`PerPatternMatcher`] — the historical path: no index, every pair
+//!   goes to the machine. Byte-for-byte the engine's pre-seam
+//!   behaviour.
 //! * [`FusedMatcher`] — the whole rule set compiled into one
 //!   [`FusedSet`] discrimination tree; each distinct term is walked
 //!   once (memoized across sweeps — hash-consing means a [`TermId`]'s
 //!   meaning never changes) and all candidate patterns fall out of that
 //!   single traversal.
 //!
-//! Everything *above* the seam is backend-agnostic and unchanged: the
-//! sharded warm phase, the probe cache, cross-sweep memoization and the
-//! canonical serial commit loop all consume admission verdicts without
-//! caring how they were computed. That is what makes the two backends
+//! Everything *above* the seam is backend-agnostic: the greedy fixpoint
+//! loop consumes admission verdicts without caring how they were
+//! computed. That is what makes the two backends
 //! interchangeable at the CLI (`pypmc compile --matcher …`).
 //!
 //! ## The contract
@@ -33,8 +31,8 @@
 //! / `matches_found` / `rewrites_fired` are backend-independent, and
 //! only the machine-work counters (`machine_steps`,
 //! `machine_backtracks`) and the admission counters in [`MatcherStats`]
-//! vary — the same counter-shrinkage contract the sweep policies and
-//! the parallel root filter already document.
+//! vary — the same counter-shrinkage contract the sweep policies
+//! already document.
 //!
 //! ## When per-pattern still wins
 //!
@@ -50,15 +48,15 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use pypm_core::{Budget, FusedSet, PatternId, PatternStore, RootFilter, Symbol, TermId, TermStore};
+use pypm_core::{Budget, FusedSet, PatternId, PatternStore, Symbol, TermId, TermStore};
 
 /// Which candidate-discovery index the rewrite pass runs above the
 /// abstract machine. See the module docs for the trade-off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MatcherBackend {
-    /// Per-pattern probing: no index in serial mode, the
-    /// [`RootFilter`] head check in parallel mode. The engine's
-    /// historical behaviour, kept as the reference ablation point.
+    /// Per-pattern probing: no index, every pair goes to the machine.
+    /// The engine's historical behaviour, kept as the reference
+    /// ablation point.
     PerPattern,
     /// One [`FusedSet`] discrimination tree over the whole rule set;
     /// each distinct term is walked once and every pattern's verdict
@@ -113,12 +111,11 @@ pub struct MatcherStats {
     /// Trie states expanded across all walks. Zero under
     /// [`MatcherBackend::PerPattern`].
     pub trie_steps: u64,
-    /// `(pattern, term)` pairs the index admitted to the machine on the
-    /// commit path — each is one machine probe (inline, or replayed
-    /// from the warm-phase cache).
+    /// `(pattern, term)` pairs the index admitted to the machine — each
+    /// is one machine probe.
     pub pairs_admitted: u64,
-    /// Pairs rejected by the index on the commit path — guaranteed
-    /// machine failures resolved without machine work.
+    /// Pairs rejected by the index — guaranteed machine failures
+    /// resolved without machine work.
     pub pairs_rejected: u64,
 }
 
@@ -151,8 +148,7 @@ impl MatcherStats {
 /// Implementations may mutate themselves on query (memoization); the
 /// driver owns one matcher per pass, built after the rule set is fixed.
 /// Term keys never go stale because terms are hash-consed and rewrites
-/// give changed nodes fresh terms — the same property the probe cache
-/// relies on.
+/// give changed nodes fresh terms.
 pub trait Matcher: fmt::Debug + Send {
     /// The backend this matcher implements.
     fn backend(&self) -> MatcherBackend;
@@ -160,8 +156,7 @@ pub trait Matcher: fmt::Debug + Send {
     /// Whether the machine should run pattern `pi` against `t` (whose
     /// head operator is `op`). Walk-side counters (`terms_walked`,
     /// `trie_steps`) are recorded on `stats`; the *caller* accounts the
-    /// pair-level verdict, so a discovery phase and a commit phase can
-    /// share one matcher without double-counting pairs.
+    /// pair-level verdict.
     fn admits(
         &mut self,
         pi: usize,
@@ -184,30 +179,10 @@ pub trait Matcher: fmt::Debug + Send {
 }
 
 /// The historical per-pattern discovery path (see
-/// [`MatcherBackend::PerPattern`]).
-#[derive(Debug)]
-pub struct PerPatternMatcher {
-    /// Per-pattern root-operator indexes, aligned with the rule set.
-    /// Empty in serial mode: the pre-seam serial loop ran the machine
-    /// unconditionally, and the reference backend preserves that
-    /// behaviour (and its counters) exactly.
-    filters: Vec<RootFilter>,
-}
-
-impl PerPatternMatcher {
-    /// Builds the backend. `parallel` mirrors the pre-seam engine: root
-    /// filters exist (and reject) only when the parallel match phase is
-    /// on.
-    pub fn new(pats: &PatternStore, patterns: &[PatternId], parallel: bool) -> Self {
-        PerPatternMatcher {
-            filters: if parallel {
-                patterns.iter().map(|&p| pats.root_filter(p)).collect()
-            } else {
-                Vec::new()
-            },
-        }
-    }
-}
+/// [`MatcherBackend::PerPattern`]): admits every pair, so the machine
+/// runs unconditionally, exactly as the pre-seam loop did.
+#[derive(Debug, Default)]
+pub struct PerPatternMatcher;
 
 impl Matcher for PerPatternMatcher {
     fn backend(&self) -> MatcherBackend {
@@ -216,16 +191,13 @@ impl Matcher for PerPatternMatcher {
 
     fn admits(
         &mut self,
-        pi: usize,
+        _pi: usize,
         _t: TermId,
-        op: Symbol,
+        _op: Symbol,
         _terms: &TermStore,
         _stats: &mut MatcherStats,
     ) -> bool {
-        match self.filters.get(pi) {
-            Some(f) => f.admits(op),
-            None => true,
-        }
+        true
     }
 }
 
@@ -296,10 +268,9 @@ pub fn build_matcher(
     backend: MatcherBackend,
     pats: &PatternStore,
     patterns: &[PatternId],
-    parallel: bool,
 ) -> Box<dyn Matcher> {
     match backend {
-        MatcherBackend::PerPattern => Box::new(PerPatternMatcher::new(pats, patterns, parallel)),
+        MatcherBackend::PerPattern => Box::new(PerPatternMatcher),
         MatcherBackend::Fused => Box::new(FusedMatcher::new(pats, patterns)),
     }
 }
@@ -333,11 +304,13 @@ mod tests {
         let tg = terms.app(g, vec![c]);
 
         let mut stats = MatcherStats::default();
-        let mut serial = PerPatternMatcher::new(&pats, &[pf], false);
-        assert!(serial.admits(0, tg, g, &terms, &mut stats));
-        let mut par = PerPatternMatcher::new(&pats, &[pf], true);
-        assert!(!par.admits(0, tg, g, &terms, &mut stats));
-        assert!(par.admits(0, tg, f, &terms, &mut stats));
+        let mut m = build_matcher(MatcherBackend::PerPattern, &pats, &[pf]);
+        assert_eq!(m.backend(), MatcherBackend::PerPattern);
+        // `f(x)` cannot match `g(c)`, yet per-pattern admits the pair:
+        // the machine is the only arbiter.
+        assert!(m.admits(0, tg, g, &terms, &mut stats));
+        assert!(m.admits(0, tg, f, &terms, &mut stats));
+        assert_eq!(stats.terms_walked, 0);
     }
 
     #[test]

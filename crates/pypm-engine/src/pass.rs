@@ -17,10 +17,8 @@
 
 use crate::rewriter::{PassStats, RewriteError};
 use crate::session::Session;
-use crate::shard::ParallelConfig;
 use pypm_core::Budget;
 use pypm_graph::{Graph, NodeId};
-use pypm_perf::pool::WorkerPool;
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -89,8 +87,8 @@ pub enum PassError {
         reason: String,
     },
     /// The compile's cooperative [`pypm_core::Budget`] was exhausted
-    /// mid-pass. The session, pool and graph stores remain fully
-    /// reusable; the graph may have been partially rewritten.
+    /// mid-pass. The session and graph stores remain fully reusable;
+    /// the graph may have been partially rewritten.
     BudgetExceeded {
         /// The exhausted limits, e.g. `"timeout_ms=50 step_limit=1000"`.
         limits: String,
@@ -301,6 +299,7 @@ pub(crate) type PipelineParts = (
 /// Shared state threaded through every pass of a pipeline run:
 /// diagnostics, per-pass records, published artifacts, and the
 /// registered [`Observer`]s.
+#[derive(Default)]
 pub struct PipelineCx {
     diagnostics: Vec<Diagnostic>,
     records: Vec<PassRecord>,
@@ -308,38 +307,9 @@ pub struct PipelineCx {
     artifacts: BTreeMap<String, Box<dyn Any>>,
     current: String,
     current_sweep: u64,
-    parallel: ParallelConfig,
-    /// The persistent worker pool parallel passes submit to. Owned by
-    /// the pipeline run (created once, before the first pass) so the
-    /// threads stay warm across rounds, sweeps, passes and — under
-    /// [`crate::Pipeline::run_batch`] — whole graphs; `None` for serial
-    /// runs, which never construct a pool. An externally shared pool
-    /// ([`crate::Pipeline::with_pool`]) lands here too.
-    pool: Option<Arc<WorkerPool>>,
-    /// Graphs compiled by the owning run (1 for `Pipeline::run`, the
-    /// batch length for `Pipeline::run_batch`); surfaces as the
-    /// `batch_graphs` counter.
-    batch_graphs: u64,
     /// Cooperative resource budget for the run, checked by passes at
     /// their scheduling points; `None` = unlimited.
     budget: Option<Arc<Budget>>,
-}
-
-impl Default for PipelineCx {
-    fn default() -> Self {
-        PipelineCx {
-            diagnostics: Vec::new(),
-            records: Vec::new(),
-            observers: Vec::new(),
-            artifacts: BTreeMap::new(),
-            current: String::new(),
-            current_sweep: 0,
-            parallel: ParallelConfig::default(),
-            pool: None,
-            batch_graphs: 1,
-            budget: None,
-        }
-    }
 }
 
 impl fmt::Debug for PipelineCx {
@@ -350,7 +320,6 @@ impl fmt::Debug for PipelineCx {
             .field("observers", &self.observers.len())
             .field("artifacts", &self.artifacts.keys().collect::<Vec<_>>())
             .field("current", &self.current)
-            .field("parallel", &self.parallel)
             .finish()
     }
 }
@@ -372,35 +341,6 @@ impl PipelineCx {
         !self.observers.is_empty()
     }
 
-    /// The parallel match-phase configuration passes should honour
-    /// (set once per pipeline via [`crate::Pipeline::parallelism`];
-    /// defaults to serial).
-    pub fn parallel(&self) -> ParallelConfig {
-        self.parallel
-    }
-
-    /// Sets the parallel match-phase configuration.
-    pub(crate) fn set_parallel(&mut self, parallel: ParallelConfig) {
-        self.parallel = parallel;
-    }
-
-    /// The persistent worker pool for parallel match phases, if one is
-    /// installed (always, once the pipeline runs with `jobs > 1`).
-    pub fn pool(&self) -> Option<Arc<WorkerPool>> {
-        self.pool.clone()
-    }
-
-    /// Installs the worker pool this run's passes share.
-    pub(crate) fn set_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.pool = Some(pool);
-    }
-
-    /// Number of graphs the owning run compiles (1 for a plain
-    /// [`crate::Pipeline::run`]).
-    pub fn batch_graphs(&self) -> u64 {
-        self.batch_graphs
-    }
-
     /// The run's cooperative resource budget, if one was installed via
     /// [`crate::Pipeline::with_budget`]. Passes check it at their
     /// scheduling points and unwind with [`PassError::BudgetExceeded`].
@@ -411,11 +351,6 @@ impl PipelineCx {
     /// Installs the run's cooperative resource budget.
     pub(crate) fn set_budget(&mut self, budget: Arc<Budget>) {
         self.budget = Some(budget);
-    }
-
-    /// Records the batch size of the owning run.
-    pub(crate) fn set_batch_graphs(&mut self, graphs: u64) {
-        self.batch_graphs = graphs.max(1);
     }
 
     /// Emits an informational diagnostic attributed to the running pass.
@@ -521,10 +456,9 @@ impl PipelineCx {
     }
 
     /// Drains the per-graph parts (records, diagnostics, artifacts)
-    /// while keeping the run-scoped state — observers, parallel config
-    /// and the warm worker pool — in place. This is what lets
-    /// [`crate::Pipeline::run_batch`] emit one report per graph over a
-    /// single long-lived context.
+    /// while keeping the run-scoped state — observers and the budget —
+    /// in place. This is what lets [`crate::Pipeline::run_batch`] emit
+    /// one report per graph over a single long-lived context.
     pub(crate) fn take_parts(&mut self) -> PipelineParts {
         (
             std::mem::take(&mut self.records),

@@ -33,7 +33,6 @@ use crate::rewriter::PassStats;
 use crate::session::Session;
 use pypm_core::Budget;
 use pypm_graph::Graph;
-use pypm_perf::pool::WorkerPool;
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -110,16 +109,6 @@ impl<'s> Pipeline<'s> {
         self
     }
 
-    /// Selects the parallel match-phase configuration for every pass in
-    /// the pipeline (default: serial). With `jobs > 1`,
-    /// [`crate::RewritePass`] fans candidate discovery across that many
-    /// shard workers while committing rewrites serially — byte-identical
-    /// results, lower wall-clock; see the [`crate::shard`] module docs.
-    pub fn parallelism(mut self, parallel: crate::shard::ParallelConfig) -> Self {
-        self.cx.set_parallel(parallel);
-        self
-    }
-
     /// Disables (or re-enables) graph validation after each mutating
     /// pass. Validation is on by default.
     pub fn validate_after_each(mut self, validate: bool) -> Self {
@@ -127,60 +116,17 @@ impl<'s> Pipeline<'s> {
         self
     }
 
-    /// Shares an existing persistent [`WorkerPool`] with this pipeline
-    /// instead of letting the run construct its own. Because a
-    /// [`Pipeline`] is consumed per run, this is how worker threads
-    /// stay warm *across* pipeline runs:
-    ///
-    /// ```
-    /// use pypm_engine::{ParallelConfig, Pipeline, RewritePass, Session};
-    /// use pypm_perf::pool::WorkerPool;
-    /// use pypm_dsl::LibraryConfig;
-    /// use pypm_graph::Graph;
-    /// use std::sync::Arc;
-    ///
-    /// let pool = Arc::new(WorkerPool::new(3));
-    /// for _ in 0..2 {
-    ///     let mut s = Session::new();
-    ///     let rules = s.load_library(LibraryConfig::both());
-    ///     let mut g = Graph::new();
-    ///     Pipeline::new(&mut s)
-    ///         .with(RewritePass::new(rules))
-    ///         .parallelism(ParallelConfig::with_jobs(4))
-    ///         .with_pool(Arc::clone(&pool))
-    ///         .run(&mut g)
-    ///         .unwrap();
-    /// }
-    /// ```
-    pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.cx.set_pool(pool);
-        self
-    }
-
     /// Installs a cooperative resource [`Budget`] (wall deadline and/or
     /// machine-step cap) for this run. Passes check it at their
-    /// scheduling points — the commit loop, shard workers and fused
+    /// scheduling points — the commit loop, machine probes and fused
     /// matcher walks — and the run stops at the first pass to observe
     /// exhaustion, failing with [`PassError::BudgetExceeded`]. The
-    /// session and any shared pool remain fully reusable afterwards,
-    /// and a budget that never trips changes nothing: results stay
-    /// byte-identical to an unbudgeted run.
+    /// session remains fully reusable afterwards, and a budget that
+    /// never trips changes nothing: results stay byte-identical to an
+    /// unbudgeted run.
     pub fn with_budget(mut self, budget: Arc<Budget>) -> Self {
         self.cx.set_budget(budget);
         self
-    }
-
-    /// Installs the run-scoped worker pool: created here, once, when
-    /// the run is parallel and no shared pool was provided — so serial
-    /// runs never construct a pool (zero thread startup), and parallel
-    /// runs keep one warm set of threads for their whole lifetime. The
-    /// pool gets `jobs - 1` threads because shard 0 of every warm
-    /// phase runs on the calling thread.
-    fn ensure_pool(&mut self) {
-        let cfg = self.cx.parallel();
-        if cfg.is_parallel() && self.cx.pool().is_none() {
-            self.cx.set_pool(Arc::new(WorkerPool::new(cfg.jobs - 1)));
-        }
     }
 
     /// Runs every pass in order over `graph`.
@@ -189,8 +135,6 @@ impl<'s> Pipeline<'s> {
     ///
     /// Stops at the first failing pass, naming it in the error.
     pub fn run(mut self, graph: &mut Graph) -> Result<PipelineReport, PipelineError> {
-        self.cx.set_batch_graphs(1);
-        self.ensure_pool();
         self.run_one(graph)?;
         let (passes, diagnostics, artifacts) = self.cx.take_parts();
         Ok(PipelineReport {
@@ -200,24 +144,19 @@ impl<'s> Pipeline<'s> {
         })
     }
 
-    /// Runs every pass in order over each graph of a batch, reusing the
-    /// session stores, the passes, and — in parallel mode — one warm
-    /// [`WorkerPool`] across all of them. Returns one
-    /// [`PipelineReport`] per graph, in input order; each report's
-    /// `batch_graphs` counter records the batch size.
+    /// Runs every pass in order over each graph of a batch, one graph
+    /// after another, reusing the session stores and the passes. Returns
+    /// one [`PipelineReport`] per graph, in input order.
     ///
-    /// Batching changes throughput, never results: each graph's firing
-    /// sequence, final form and semantic counters are byte-identical to
-    /// a standalone [`Pipeline::run`] over the same session state
-    /// (`tests/parallel_equivalence.rs` and the batch proptest in
-    /// `pass_properties.rs` prove it).
+    /// Each graph's firing sequence, final form and semantic counters
+    /// are byte-identical to a standalone [`Pipeline::run`] over the
+    /// same session state (`run_batch_is_byte_identical_to_sequential_runs`
+    /// in `pipeline_api.rs` proves it).
     ///
     /// # Errors
     ///
     /// Stops at the first failing pass of the first failing graph.
     pub fn run_batch(mut self, graphs: &mut [Graph]) -> Result<Vec<PipelineReport>, PipelineError> {
-        self.cx.set_batch_graphs(graphs.len() as u64);
-        self.ensure_pool();
         let mut reports = Vec::with_capacity(graphs.len());
         for graph in graphs {
             self.run_one(graph)?;
@@ -328,25 +267,6 @@ impl PipelineReport {
             total.view_patches += s.view_patches;
             total.nodes_revisited += s.nodes_revisited;
             total.nodes_reindexed += s.nodes_reindexed;
-            total.parallel.jobs = total.parallel.jobs.max(s.parallel.jobs);
-            total.parallel.batch_graphs = total.parallel.batch_graphs.max(s.parallel.batch_graphs);
-            total.parallel.warm_batches += s.parallel.warm_batches;
-            total.parallel.pool_rounds += s.parallel.pool_rounds;
-            total.parallel.pool_spawn_reuse += s.parallel.pool_spawn_reuse;
-            total.parallel.probes_executed += s.parallel.probes_executed;
-            total.parallel.probes_filtered += s.parallel.probes_filtered;
-            total.parallel.probes_reused += s.parallel.probes_reused;
-            total.parallel.probes_inline += s.parallel.probes_inline;
-            total.parallel.warm_wall += s.parallel.warm_wall;
-            if total.parallel.probes_by_shard.len() < s.parallel.probes_by_shard.len() {
-                total
-                    .parallel
-                    .probes_by_shard
-                    .resize(s.parallel.probes_by_shard.len(), 0);
-            }
-            for (shard, probes) in s.parallel.probes_by_shard.iter().enumerate() {
-                total.parallel.probes_by_shard[shard] += probes;
-            }
             total.matcher.absorb(&s.matcher);
         }
         total
@@ -367,11 +287,6 @@ impl PipelineReport {
     ///       "machine_backtracks": 3, "sweeps": 2,
     ///       "incremental": {"view_builds": 2, "view_patches": 0,
     ///                       "nodes_revisited": 4, "nodes_reindexed": 0},
-    ///       "parallel": {"jobs": 1, "batch_graphs": 1, "warm_batches": 0,
-    ///                    "pool_rounds": 0, "pool_spawn_reuse": 0,
-    ///                    "probes_executed": 0, "probes_filtered": 0,
-    ///                    "probes_reused": 0, "probes_inline": 0,
-    ///                    "warm_wall_ms": 0.0, "probes_by_shard": []},
     ///       "matcher": {"backend": "fused", "terms_walked": 5,
     ///                   "trie_steps": 40, "pairs_admitted": 3,
     ///                   "pairs_rejected": 6}
@@ -419,33 +334,18 @@ impl PipelineReport {
 }
 
 /// The shared counter fields of one [`PassStats`], as JSON key/values.
-/// The trailing `incremental`, `parallel` and `matcher` objects are the
-/// schema's additive blocks: incremental-rewriting view maintenance
-/// (all zero for passes that never build a term view), the parallel
-/// match-phase counters (`jobs` records the configured worker count
-/// and `batch_graphs` the owning run's batch size; everything else is
-/// zero under `jobs = 1`), and the candidate-discovery counters of the
-/// configured matcher backend (`backend` is empty for passes that never
-/// probe).
+/// The trailing `incremental` and `matcher` objects are the schema's
+/// additive blocks: incremental-rewriting view maintenance (all zero
+/// for passes that never build a term view) and the candidate-discovery
+/// counters of the configured matcher backend (`backend` is empty for
+/// passes that never probe).
 fn stats_fields(s: &PassStats) -> String {
-    let shards = s
-        .parallel
-        .probes_by_shard
-        .iter()
-        .map(u64::to_string)
-        .collect::<Vec<_>>()
-        .join(", ");
     format!(
         "\"duration_ms\": {:.6}, \"nodes_visited\": {}, \"match_attempts\": {}, \
          \"matches_found\": {}, \"rewrites_fired\": {}, \"machine_steps\": {}, \
          \"machine_backtracks\": {}, \"sweeps\": {}, \
          \"incremental\": {{\"view_builds\": {}, \"view_patches\": {}, \
          \"nodes_revisited\": {}, \"nodes_reindexed\": {}}}, \
-         \"parallel\": {{\"jobs\": {}, \"batch_graphs\": {}, \"warm_batches\": {}, \
-         \"pool_rounds\": {}, \"pool_spawn_reuse\": {}, \
-         \"probes_executed\": {}, \"probes_filtered\": {}, \
-         \"probes_reused\": {}, \"probes_inline\": {}, \
-         \"warm_wall_ms\": {:.6}, \"probes_by_shard\": [{}]}}, \
          \"matcher\": {{\"backend\": {}, \"terms_walked\": {}, \
          \"trie_steps\": {}, \"pairs_admitted\": {}, \
          \"pairs_rejected\": {}}}",
@@ -461,17 +361,6 @@ fn stats_fields(s: &PassStats) -> String {
         s.view_patches,
         s.nodes_revisited,
         s.nodes_reindexed,
-        s.parallel.jobs,
-        s.parallel.batch_graphs,
-        s.parallel.warm_batches,
-        s.parallel.pool_rounds,
-        s.parallel.pool_spawn_reuse,
-        s.parallel.probes_executed,
-        s.parallel.probes_filtered,
-        s.parallel.probes_reused,
-        s.parallel.probes_inline,
-        s.parallel.warm_wall.as_secs_f64() * 1e3,
-        shards,
         json_string(s.matcher.backend),
         s.matcher.terms_walked,
         s.matcher.trie_steps,

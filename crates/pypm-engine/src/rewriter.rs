@@ -23,15 +23,6 @@
 //! of influence of each rewrite, while provably firing the identical
 //! rewrite sequence (the invariants are documented on the variant).
 //!
-//! Orthogonally to the sweep policy, the match phase can run **in
-//! parallel**: with [`ParallelConfig`] `jobs > 1` (plumbed through
-//! [`crate::PipelineCx`], see [`crate::Pipeline::parallelism`]), each
-//! scan round's candidate probes are fanned across shard workers and
-//! memoized, and the serial scan consumes the memoized outcomes in its
-//! canonical order — firing sequences, final graphs and every counter
-//! stay byte-identical to `jobs = 1`. The [`crate::shard`] module
-//! documents the discover-parallel / commit-serial contract.
-//!
 //! [`PassStats`] records the counters behind the paper's compile-time
 //! figures (Figs. 12–13): wall-clock matching time, match attempts
 //! (including the "partial matches that don't end up actually matching"),
@@ -40,11 +31,9 @@
 use crate::matcher::{build_matcher, Matcher, MatcherBackend, MatcherStats};
 use crate::pass::{Pass, PassError, PassOutcome, PipelineCx, RejectReason};
 use crate::session::Session;
-use crate::shard::{warm_probes, ParallelConfig, ParallelStats, ProbeCache, ProbeKey, ProbeResult};
 use pypm_core::{Budget, Machine, Outcome, PatternId, Subst, TermId, Witness};
 use pypm_dsl::{Rhs, RuleSet};
 use pypm_graph::{Graph, NodeId, TermView};
-use pypm_perf::pool::WorkerPool;
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
@@ -175,10 +164,6 @@ pub struct PassStats {
     /// incremental scheduling (same visits, same fires); continue
     /// differs slightly (different visit order between fires).
     pub nodes_reindexed: u64,
-    /// Parallel match-phase counters (`jobs` records the configured
-    /// worker count; everything else is zero when `jobs = 1`); see
-    /// [`ParallelStats`] and the [`crate::shard`] module docs.
-    pub parallel: ParallelStats,
     /// Candidate-discovery counters for the configured matcher backend;
     /// see [`MatcherStats`] and the [`crate::matcher`] module docs.
     pub matcher: MatcherStats,
@@ -220,17 +205,9 @@ pub enum RewriteError {
         /// Human-readable reason.
         reason: String,
     },
-    /// A parallel match worker panicked. The worker pool survives (the
-    /// panic is caught at the task boundary — see
-    /// [`pypm_perf::pool::PoolError`]); the pass is aborted with this
-    /// clean error instead of hanging or poisoning the pipeline.
-    WorkerPanicked {
-        /// The panic message.
-        reason: String,
-    },
     /// The run's cooperative [`pypm_core::Budget`] was exhausted. The
-    /// session, pool and stores remain reusable; the graph may have
-    /// been partially rewritten. Surfaced to pipeline callers as
+    /// session and stores remain reusable; the graph may have been
+    /// partially rewritten. Surfaced to pipeline callers as
     /// [`crate::PassError::BudgetExceeded`].
     BudgetExceeded {
         /// The exhausted limits ([`pypm_core::Budget::describe`]).
@@ -249,9 +226,6 @@ impl fmt::Display for RewriteError {
             }
             RewriteError::NoNodeForTerm => write!(f, "matched term has no graph node"),
             RewriteError::BuildFailed { reason } => write!(f, "replacement build failed: {reason}"),
-            RewriteError::WorkerPanicked { reason } => {
-                write!(f, "parallel match worker panicked: {reason}")
-            }
             RewriteError::BudgetExceeded { limits } => {
                 if limits.is_empty() {
                     write!(f, "compile budget exceeded")
@@ -307,27 +281,11 @@ struct Fired {
 }
 
 /// The internal engine shared by [`RewritePass`] and the deprecated
-/// [`Rewriter`] shim: the paper's greedy fixpoint loop, optionally
-/// preceded by sharded parallel candidate discovery (see
-/// [`crate::shard`]).
+/// [`Rewriter`] shim: the paper's greedy fixpoint loop.
 struct Driver<'a> {
     session: &'a mut Session,
     rules: &'a RuleSet,
     config: PassConfig,
-    parallel: ParallelConfig,
-    /// The persistent worker pool warm phases submit to. `None` in
-    /// serial mode — a `--jobs 1` run never constructs (or touches) a
-    /// pool. Shared (`Arc`) so one pool outlives passes, graphs of a
-    /// batched run, and even whole pipelines (see
-    /// [`crate::Pipeline::with_pool`]).
-    pool: Option<Arc<WorkerPool>>,
-    /// `rules.patterns[i].pattern` per index — the tiny handle table
-    /// warm-phase worker tasks clone instead of the rule set.
-    pattern_ids: Vec<PatternId>,
-    /// Memoized probe outcomes, keyed by (pattern index, term). Only
-    /// populated when `parallel.is_parallel()`; a term key can never go
-    /// stale because rewrites give every changed node a fresh term.
-    cache: ProbeCache,
     /// The candidate-discovery index (see [`crate::matcher`]), built
     /// lazily at the start of [`Driver::run`] so match-only entry
     /// points ([`Driver::find_matches`]) never pay the build.
@@ -344,24 +302,9 @@ impl<'a> Driver<'a> {
             session,
             rules,
             config,
-            parallel: ParallelConfig::serial(),
-            pool: None,
-            pattern_ids: Vec::new(),
-            cache: ProbeCache::new(),
             matcher: None,
             budget: None,
         }
-    }
-
-    /// Selects the parallel match-phase configuration and the pool the
-    /// warm phases run on.
-    fn with_parallel(mut self, parallel: ParallelConfig, pool: Option<Arc<WorkerPool>>) -> Self {
-        self.parallel = parallel;
-        if self.parallel.is_parallel() {
-            self.pool = pool;
-            self.pattern_ids = self.rules.patterns.iter().map(|d| d.pattern).collect();
-        }
-        self
     }
 
     /// Builds the configured discovery index over the rule set's
@@ -375,7 +318,6 @@ impl<'a> Driver<'a> {
             self.config.matcher,
             &self.session.pats,
             &patterns,
-            self.parallel.is_parallel(),
         ));
     }
 
@@ -395,11 +337,6 @@ impl<'a> Driver<'a> {
         }
         let mut stats = PassStats::default();
         stats.matcher.backend = self.config.matcher.name();
-        stats.parallel.jobs = self.parallel.jobs as u64;
-        stats.parallel.batch_graphs = cx.batch_graphs();
-        if self.parallel.is_parallel() {
-            stats.parallel.probes_by_shard = vec![0; self.parallel.jobs];
-        }
         match self.config.sweep_policy {
             SweepPolicy::Incremental => self.run_worklist(graph, cx, &mut stats)?,
             SweepPolicy::RestartOnRewrite | SweepPolicy::ContinueSweep => {
@@ -424,85 +361,10 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// The parallel discovery phase of one scan round: collects the
-    /// round's candidate probes — `candidates` in the exact order the
-    /// serial scan will visit them, every rule-bearing pattern per
-    /// candidate — and fans the uncached ones across the pool workers.
-    /// A no-op under `jobs = 1`.
-    fn warm_round(
-        &mut self,
-        candidates: &[NodeId],
-        view: &TermView,
-        stats: &mut PassStats,
-    ) -> Result<(), RewriteError> {
-        if !self.parallel.is_parallel() {
-            return Ok(());
-        }
-        let mut todo: Vec<ProbeKey> = Vec::new();
-        let mut queued: HashSet<ProbeKey> = HashSet::new();
-        let matcher = self.matcher.as_mut().expect("matcher built in run()");
-        for &node in candidates {
-            // Stale candidates report no term and are skipped here on
-            // purpose: eagerly repairing them for speculation would
-            // undo the lazy view maintenance (their probes run inline
-            // at visit time instead, after the on-demand repair — the
-            // same repairs a serial run performs, keeping
-            // `nodes_reindexed` byte-identical across job counts).
-            let Some(t) = view.term_of(node) else {
-                continue;
-            };
-            let op = self.session.terms.op(t);
-            for (pi, def) in self.rules.patterns.iter().enumerate() {
-                if def.rules.is_empty() {
-                    continue;
-                }
-                // Discovery index first: guaranteed failures are never
-                // queued (nor cached — the consume path re-derives the
-                // verdict from the same index; the fused backend
-                // answers it from its per-term memo). Pair counters
-                // stay with the consume path so each (pattern, term)
-                // verdict is accounted exactly once.
-                if !matcher.admits(pi, t, op, &self.session.terms, &mut stats.matcher) {
-                    continue;
-                }
-                let key = (pi, t);
-                if !self.cache.contains_key(&key) && queued.insert(key) {
-                    // Distinct nodes can share a term; queue each
-                    // (pattern, term) probe once.
-                    todo.push(key);
-                }
-            }
-        }
-        // The attrs handle is dropped again before this round's commit
-        // scan can patch the view, so view maintenance never pays a
-        // copy-on-write.
-        let attrs = view.attrs_shared();
-        warm_probes(
-            self.parallel,
-            self.pool.as_deref(),
-            &self.pattern_ids,
-            &mut self.session.pats,
-            &mut self.session.terms,
-            &attrs,
-            self.config.machine_fuel,
-            &todo,
-            &mut self.cache,
-            &mut stats.parallel,
-            self.budget.clone(),
-        )
-        .map_err(|e| RewriteError::WorkerPanicked {
-            reason: e.to_string(),
-        })
-    }
-
     /// Probes one (pattern, term) candidate: consults the discovery
     /// index first (a rejected pair is a guaranteed failure — no
-    /// machine, no cache entry), then consumes the memoized outcome
-    /// when the parallel match phase is on (falling back to an inline
-    /// machine run on a miss), or runs the machine directly in serial
-    /// mode. Counter accounting is identical on every path — cached
-    /// probes replay the [`pypm_core::MachineStats`] a serial run of
-    /// the same probe would have produced.
+    /// machine run), then runs the abstract machine. Fuel exhaustion
+    /// counts as "no match".
     fn probe(
         &mut self,
         pi: usize,
@@ -513,42 +375,23 @@ impl<'a> Driver<'a> {
     ) -> Option<Witness> {
         let matcher = self.matcher.as_mut().expect("matcher built in run()");
         if !matcher.admits(pi, t, op, &self.session.terms, &mut stats.matcher) {
-            // A rejected pair is a guaranteed machine failure — no
-            // cache entry, no machine run.
             stats.matcher.pairs_rejected += 1;
-            if self.parallel.is_parallel() {
-                stats.parallel.probes_filtered += 1;
-            }
             return None;
         }
         stats.matcher.pairs_admitted += 1;
-        if self.parallel.is_parallel() {
-            if let Some(cached) = self.cache.get(&(pi, t)) {
-                stats.machine_steps += cached.steps;
-                stats.machine_backtracks += cached.backtracks;
-                stats.parallel.probes_reused += 1;
-                return cached.witness.clone();
-            }
-        }
         let mut machine = Machine::new(&mut self.session.pats, &self.session.terms, view.attrs());
         let outcome = machine.run(self.rules.patterns[pi].pattern, t, self.config.machine_fuel);
-        let result = ProbeResult::from_run(outcome, machine.stats());
+        let mstats = machine.stats();
         if let Some(b) = &self.budget {
             // Machine transitions are the step currency of the budget's
-            // `machine_steps` cap; a replayed cached probe re-runs no
-            // machine, so it charges nothing.
-            b.charge(result.steps);
+            // `machine_steps` cap.
+            b.charge(mstats.steps);
         }
-        stats.machine_steps += result.steps;
-        stats.machine_backtracks += result.backtracks;
-        if self.parallel.is_parallel() {
-            stats.parallel.probes_inline += 1;
-            let witness = result.witness.clone();
-            self.cache.insert((pi, t), result);
-            witness
-        } else {
-            // Serial hot path: the witness moves out, no clone.
-            result.witness
+        stats.machine_steps += mstats.steps;
+        stats.machine_backtracks += mstats.backtracks;
+        match outcome {
+            Ok(Outcome::Success(w)) => Some(w),
+            Ok(Outcome::Failure) | Err(_) => None,
         }
     }
 
@@ -681,11 +524,6 @@ impl<'a> Driver<'a> {
             stats.sweeps += 1;
             cx.set_sweep(stats.sweeps);
             let order = graph.topo_order();
-            // Parallel discovery: probe this sweep's candidates across
-            // the pool workers before the serial scan consumes them.
-            // The probe cache persists across sweeps (terms are
-            // hash-consed), so a restart sweep mostly re-warms nothing.
-            self.warm_round(&order, &view, stats)?;
             let mut sweep_fired = false;
             for node in order {
                 if !graph.is_alive(node) {
@@ -786,16 +624,6 @@ impl<'a> Driver<'a> {
             stats.sweeps += 1;
             cx.set_sweep(stats.sweeps);
             let order = graph.topo_order();
-            // Parallel discovery over this round's dirty candidates
-            // only — the worklist is the natural shard queue.
-            if self.parallel.is_parallel() {
-                let candidates: Vec<NodeId> = order
-                    .iter()
-                    .copied()
-                    .filter(|n| dirty.contains(n))
-                    .collect();
-                self.warm_round(&candidates, &view, stats)?;
-            }
             for node in order {
                 // Only worklist members are candidates; visiting removes
                 // the node (it is re-enqueued if a later rewrite changes
@@ -1155,9 +983,7 @@ impl Pass for RewritePass {
         graph: &mut Graph,
         cx: &mut PipelineCx,
     ) -> Result<PassOutcome, PassError> {
-        let stats = Driver::new(session, &self.rules, self.config)
-            .with_parallel(cx.parallel(), cx.pool())
-            .run(graph, cx)?;
+        let stats = Driver::new(session, &self.rules, self.config).run(graph, cx)?;
         Ok(PassOutcome::from_stats(stats))
     }
 }

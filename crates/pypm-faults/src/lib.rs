@@ -1,7 +1,7 @@
 //! # pypm-faults — a failpoint registry for chaos testing
 //!
 //! Production code declares **named injection sites** (`"cache.read"`,
-//! `"worker.panic"`, …) by calling [`fires`] at the point where a fault
+//! `"serve.compile"`, …) by calling [`fires`] at the point where a fault
 //! could plausibly occur. A disarmed registry — the default — reduces
 //! every site to one relaxed atomic load, so shipping the hooks costs
 //! nothing. Tests (or an operator reproducing a failure) arm the
@@ -26,8 +26,9 @@
 //! * Entries are matched in order; the first live entry whose site
 //!   matches decides the outcome.
 //!
-//! Example: `PYPM_FAULTS="seed=42;cache.write=io%25;worker.panic=panic*1"`
-//! fails a quarter of cache-dir writes and panics the first pool worker.
+//! Example: `PYPM_FAULTS="seed=42;cache.write=io%25;serve.compile=panic*1"`
+//! fails a quarter of cache-dir writes and panics the first served
+//! compile.
 //!
 //! ## Interpreting actions
 //!
@@ -40,9 +41,6 @@
 //! a test route every `delay:ms` action onto a shared
 //! `pypm_core::VirtualClock`, so injected slowness advances virtual
 //! time instantly instead of stalling the test suite.
-//!
-//! This module replaces the ad-hoc `inject_worker_panic_once` test hook
-//! that previously lived in `pypm-engine::shard`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -348,10 +346,10 @@ mod tests {
     #[test]
     fn counted_entries_exhaust_and_rearm_the_fast_path() {
         let _g = guard();
-        arm("worker.panic=panic*2").unwrap();
-        assert_eq!(fires("worker.panic"), Some(Action::Panic));
-        assert_eq!(fires("worker.panic"), Some(Action::Panic));
-        assert_eq!(fires("worker.panic"), None);
+        arm("serve.compile=panic*2").unwrap();
+        assert_eq!(fires("serve.compile"), Some(Action::Panic));
+        assert_eq!(fires("serve.compile"), Some(Action::Panic));
+        assert_eq!(fires("serve.compile"), None);
         // The exhausted schedule flips the global flag back off.
         assert!(!armed());
         disarm();
@@ -370,8 +368,8 @@ mod tests {
     fn percent_sampling_is_seed_deterministic() {
         let _g = guard();
         let sample = |seed: u64| -> Vec<bool> {
-            arm(&format!("seed={seed};worker.slow=delay:0%50")).unwrap();
-            let v: Vec<bool> = (0..32).map(|_| fires("worker.slow").is_some()).collect();
+            arm(&format!("seed={seed};serve.compile=delay:0%50")).unwrap();
+            let v: Vec<bool> = (0..32).map(|_| fires("serve.compile").is_some()).collect();
             disarm();
             v
         };
@@ -387,9 +385,9 @@ mod tests {
     fn delay_actions_parse_and_sleep() {
         let _g = guard();
         reset_clock();
-        arm("worker.slow=delay:1*1").unwrap();
+        arm("serve.compile=delay:1*1").unwrap();
         let t0 = std::time::Instant::now();
-        assert_eq!(sleep_if_delayed("worker.slow"), Some(Action::Delay(1)));
+        assert_eq!(sleep_if_delayed("serve.compile"), Some(Action::Delay(1)));
         assert!(t0.elapsed() >= std::time::Duration::from_millis(1));
         disarm();
     }
@@ -399,9 +397,9 @@ mod tests {
         let _g = guard();
         let clock = Arc::new(pypm_core::VirtualClock::new());
         set_clock(clock.clone());
-        arm("worker.slow=delay:5000*1").unwrap();
+        arm("serve.compile=delay:5000*1").unwrap();
         let t0 = std::time::Instant::now();
-        assert_eq!(sleep_if_delayed("worker.slow"), Some(Action::Delay(5000)));
+        assert_eq!(sleep_if_delayed("serve.compile"), Some(Action::Delay(5000)));
         assert!(
             t0.elapsed() < std::time::Duration::from_millis(4000),
             "a virtual delay must not block for real"

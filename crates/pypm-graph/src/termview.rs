@@ -20,7 +20,6 @@ use crate::ops::OpRegistry;
 use crate::tensor::TensorMeta;
 use pypm_core::{Attr, AttrInterp, Symbol, SymbolTable, TermId, TermStore};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 /// The ordered producer set of one term, id-sorted so the canonical
 /// producer (the first element) is deterministic and O(1) to read.
@@ -232,12 +231,8 @@ pub struct TermView {
     /// is the first element; erasing or adding a producer is
     /// O(log |producers|). Stale nodes are absent.
     producers: HashMap<TermId, Producers>,
-    /// Attribute side tables, shared with parallel match workers
-    /// through [`TermView::attrs_shared`]. Mutations go through
-    /// [`Arc::make_mut`], which stays in place (no copy) as long as no
-    /// worker handle is outstanding — the engine drops worker handles
-    /// before patching.
-    attrs: Arc<GraphAttrInterp>,
+    /// Attribute side tables, keyed by term.
+    attrs: GraphAttrInterp,
     /// Nodes marked dirty by [`TermView::invalidate`], consumed by the
     /// next [`TermView::patch`].
     pending: HashSet<NodeId>,
@@ -263,10 +258,10 @@ impl TermView {
             revision: graph.revision(),
             term_of_node: HashMap::new(),
             producers: HashMap::new(),
-            attrs: Arc::new(GraphAttrInterp {
+            attrs: GraphAttrInterp {
                 handles: Some(handles),
                 ..GraphAttrInterp::default()
-            }),
+            },
             pending: HashSet::new(),
             stale: HashSet::new(),
             recomputed: 0,
@@ -475,7 +470,7 @@ impl TermView {
             });
         if first {
             let node = graph.node(n);
-            let attrs = Arc::make_mut(&mut self.attrs);
+            let attrs = &mut self.attrs;
             attrs.meta.insert(term, node.meta.clone());
             attrs
                 .class_code
@@ -496,7 +491,7 @@ impl TermView {
         if let Some(set) = self.producers.get_mut(&term) {
             if set.remove(n) {
                 self.producers.remove(&term);
-                let attrs = Arc::make_mut(&mut self.attrs);
+                let attrs = &mut self.attrs;
                 attrs.meta.remove(&term);
                 attrs.class_code.remove(&term);
                 attrs.node_attrs.remove(&term);
@@ -538,16 +533,7 @@ impl TermView {
 
     /// The attribute interpretation for guard evaluation.
     pub fn attrs(&self) -> &GraphAttrInterp {
-        self.attrs.as_ref()
-    }
-
-    /// A shared handle on the attribute interpretation, for handing to
-    /// long-lived parallel match workers without cloning the tables.
-    /// Callers must drop worker handles before [`TermView::patch`] runs,
-    /// or the next mutation pays a copy-on-write of the whole table
-    /// (correct, but linear).
-    pub fn attrs_shared(&self) -> Arc<GraphAttrInterp> {
-        Arc::clone(&self.attrs)
+        &self.attrs
     }
 
     /// Number of clean (repaired) viewed nodes.
@@ -560,16 +546,6 @@ impl TermView {
         self.term_of_node.is_empty()
     }
 }
-
-// The parallel match phase (pypm-engine's shard scheduler) shares one
-// frozen view across worker threads; this is the compile-time proof
-// that `&TermView` — and the attribute interpretation guards evaluate
-// against — can cross thread boundaries.
-const _: fn() = || {
-    fn assert_sync<T: Sync>() {}
-    assert_sync::<TermView>();
-    assert_sync::<GraphAttrInterp>();
-};
 
 #[cfg(test)]
 mod tests {

@@ -8,10 +8,11 @@
 //! * [`vision`] — ~20 TorchVision-style CNN graphs with conv→bias→act
 //!   blocks and dense classifier tails.
 //!
-//! The substitution is documented in `DESIGN.md`: pattern matching and
-//! the cost model only see operator graphs, so synthetic graphs with the
-//! real models' operator structure exercise the same code paths as the
-//! paper's pre-trained checkpoints.
+//! The substitution is listed in the README's "Workspace layout" table.
+//! It is sound because pattern matching and the cost model only see
+//! operator graphs, so synthetic graphs with the real models' operator
+//! structure exercise the same code paths as the paper's pre-trained
+//! checkpoints.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -3,11 +3,11 @@
 //! ```text
 //! pypmc list-models                         list both model zoos
 //! pypmc compile <model>... [--config C] [--sweep-policy P] [--matcher M]
-//!                          [--jobs N] [--stats-json FILE] [--dot]
+//!                          [--stats-json FILE] [--dot]
 //!                                           compile one or more models and
 //!                                           report rewrite stats + simulated
 //!                                           cost per model
-//! pypmc serve [--addr A] [--jobs N] [--workers N] [--queue N]
+//! pypmc serve [--addr A] [--workers N] [--queue N]
 //!             [--cache N] [--cache-dir DIR] [--cache-dir-max-bytes N]
 //!             [--request-timeout-ms N] [--step-limit N]
 //!             [--idle-timeout-ms N]
@@ -33,19 +33,12 @@
 //! deprecated alias of `--sweep-policy`. Matcher backends `M`: `fused`
 //! (default — one discrimination tree over the whole rule set) or
 //! `per-pattern` (the reference ablation); both fire byte-identical
-//! rewrite sequences. `--jobs N` selects the parallel match phase's
-//! worker count (sharded discovery, serial commit — byte-identical
-//! results); the default is the machine's available parallelism,
-//! overridable with the `PYPM_JOBS` environment variable (the explicit
-//! flag wins). `--jobs 0` and non-numeric values are rejected with exit
-//! code 2. `--jobs 1` runs the pure serial path: no worker pool is
-//! constructed, no thread starts. With several models, the whole batch
-//! compiles through one `Pipeline::run_batch` — shared session stores,
-//! one warm worker pool across all graphs. `--stats-json` writes the
-//! pipeline report in the stable `pypm.pipeline.v1` schema (including
-//! the additive `incremental` and `parallel` counter blocks); for a
-//! batch it writes a `pypm.batch.v1` document wrapping one report per
-//! model.
+//! rewrite sequences. Each compile is serial. With several models, the
+//! whole batch compiles through one `Pipeline::run_batch` over shared
+//! session stores. `--stats-json` writes the pipeline report in the
+//! stable `pypm.pipeline.v1` schema (including the additive
+//! `incremental` and `matcher` counter blocks); for a batch it writes a
+//! `pypm.batch.v1` document wrapping one report per model.
 //!
 //! `serve --cache N` sizes the in-memory compile-result cache (default
 //! 128 entries; 0 disables it without a directory), and `--cache-dir
@@ -72,8 +65,7 @@
 use pypm::cli_args::{self, parse_or_usage, Spec};
 use pypm::dsl::{binary, text, LibraryConfig};
 use pypm::engine::{
-    explain_at, ExplainObserver, ParallelConfig, Partition, PartitionPass, Pipeline, RewritePass,
-    Session,
+    explain_at, ExplainObserver, Partition, PartitionPass, Pipeline, RewritePass, Session,
 };
 use pypm::graph::Graph;
 use pypm::perf::CostModel;
@@ -146,14 +138,13 @@ fn list_models(args: &[String]) -> i32 {
 fn compile(args: &[String]) -> i32 {
     let spec = Spec {
         usage: "pypmc compile <model>... [--config C] [--sweep-policy P] [--matcher M] \
-                [--jobs N] [--stats-json FILE] [--dot]",
+                [--stats-json FILE] [--dot]",
         positionals: (1, usize::MAX),
         value_flags: &[
             "--config",
             "--sweep-policy",
             "--policy",
             "--matcher",
-            "--jobs",
             "--stats-json",
         ],
         bool_flags: &["--dot"],
@@ -184,22 +175,9 @@ fn compile(args: &[String]) -> i32 {
             return 2;
         }
     };
-    // Worker count: explicit --jobs wins, then the PYPM_JOBS override,
-    // then the machine's available parallelism. Invalid values (0,
-    // non-numeric) fail loudly on either path.
-    let jobs = match cli_args::resolve_jobs(&parsed) {
-        Ok(Some(jobs)) => jobs,
-        Ok(None) => pypm::perf::parallel::available_jobs(),
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("usage: {}", spec.usage);
-            return 2;
-        }
-    };
 
     // One session for the whole batch: shared symbol/term/pattern
-    // stores, and (with jobs > 1) one warm worker pool across every
-    // graph — the Pipeline::run_batch entry point.
+    // stores across every graph — the Pipeline::run_batch entry point.
     let mut s = Session::new();
     let mut graphs = Vec::with_capacity(models.len());
     for model in models {
@@ -221,7 +199,7 @@ fn compile(args: &[String]) -> i32 {
         .collect();
 
     let rules = s.load_library(lib);
-    let mut pipeline = Pipeline::new(&mut s).parallelism(ParallelConfig::with_jobs(jobs));
+    let mut pipeline = Pipeline::new(&mut s);
     if !rules.is_empty() {
         pipeline = pipeline.with(RewritePass::new(rules).policy(policy).matcher(matcher));
     }
@@ -266,23 +244,6 @@ fn compile(args: &[String]) -> i32 {
             stats.matcher.terms_walked,
             stats.matcher.trie_steps
         );
-        if jobs > 1 {
-            println!(
-                "parallel   {jobs} jobs, {} probes executed / {} filtered / {} reused / {} inline",
-                stats.parallel.probes_executed,
-                stats.parallel.probes_filtered,
-                stats.parallel.probes_reused,
-                stats.parallel.probes_inline
-            );
-            println!(
-                "pool       {} rounds, {} warm reuses, batch of {}",
-                stats.parallel.pool_rounds,
-                stats.parallel.pool_spawn_reuse,
-                stats.parallel.batch_graphs
-            );
-        } else {
-            println!("parallel   1 job (serial match phase, no pool)");
-        }
         println!(
             "inference  {before_cost:.1} µs -> {after_cost:.1} µs ({:.3}x)",
             before_cost / after_cost
@@ -329,13 +290,12 @@ fn batch_json(models: &[String], reports: &[pypm::engine::PipelineReport]) -> St
 
 fn serve(args: &[String]) -> i32 {
     let spec = Spec {
-        usage: "pypmc serve [--addr A] [--jobs N] [--workers N] [--queue N] \
+        usage: "pypmc serve [--addr A] [--workers N] [--queue N] \
                 [--cache N] [--cache-dir DIR] [--cache-dir-max-bytes N] \
                 [--request-timeout-ms N] [--step-limit N] [--idle-timeout-ms N]",
         positionals: (0, 0),
         value_flags: &[
             "--addr",
-            "--jobs",
             "--workers",
             "--queue",
             "--cache",
@@ -354,17 +314,6 @@ fn serve(args: &[String]) -> i32 {
     let mut config = pypm::serve::ServeConfig::default();
     if let Some(addr) = parsed.value("--addr") {
         config.addr = addr.to_owned();
-    }
-    // Same resolution order as `compile`: flag, then PYPM_JOBS, then
-    // the machine's parallelism (the ServeConfig default).
-    match cli_args::resolve_jobs(&parsed) {
-        Ok(Some(jobs)) => config.jobs = jobs,
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("usage: {}", spec.usage);
-            return 2;
-        }
     }
     if let Some(dir) = parsed.value("--cache-dir") {
         config.cache_dir = Some(dir.to_owned());

@@ -21,10 +21,7 @@
 //!   diagnostic on an unknown name,
 //! * **matcher backends** ([`resolve_matcher`]) —
 //!   `per-pattern|fused`: explicit flag, then the `PYPM_MATCHER`
-//!   environment override, then the fused default,
-//! * **job counts** ([`resolve_jobs`]) — explicit flag, then the
-//!   `PYPM_JOBS` environment override, then (the caller's choice of)
-//!   machine default.
+//!   environment override, then the fused default.
 
 use crate::dsl::LibraryConfig;
 use crate::engine::{MatcherBackend, SweepPolicy};
@@ -194,8 +191,8 @@ pub fn parse_matcher(name: &str) -> Result<MatcherBackend, String> {
 
 /// Resolves the match backend: the explicit `--matcher` flag wins,
 /// then the `PYPM_MATCHER` environment override (the CI matrix leg
-/// sweeps backends through it without code changes, mirroring
-/// `PYPM_JOBS`), then the engine default ([`MatcherBackend::Fused`]).
+/// sweeps backends through it without code changes), then the engine
+/// default ([`MatcherBackend::Fused`]).
 ///
 /// # Errors
 ///
@@ -211,9 +208,8 @@ pub fn resolve_matcher(parsed: &Parsed) -> Result<MatcherBackend, String> {
 }
 
 /// Reads a matcher backend from the environment variable `var`.
-/// `Ok(None)` when unset or blank (mirroring
-/// [`jobs_from_env`](crate::perf::parallel::jobs_from_env): an empty
-/// value is "not configured", not an error).
+/// `Ok(None)` when unset or blank: an empty value is "not configured",
+/// not an error.
 ///
 /// # Errors
 ///
@@ -228,26 +224,6 @@ pub fn matcher_from_env(var: &str) -> Result<Option<MatcherBackend>, String> {
     }
 }
 
-/// Resolves the match-phase worker count: the explicit `--jobs` flag
-/// wins, then the `PYPM_JOBS` environment override; `Ok(None)` means
-/// neither was given and the caller picks its own default (`compile`
-/// uses the machine's available parallelism, `serve` its config
-/// default). Invalid values — 0, non-numeric — fail loudly on either
-/// path.
-///
-/// # Errors
-///
-/// The diagnostic to print (the caller prefixes `error: ` and adds its
-/// usage line, exit 2).
-pub fn resolve_jobs(parsed: &Parsed) -> Result<Option<usize>, String> {
-    match parsed.value("--jobs") {
-        Some(v) => crate::perf::parallel::parse_jobs(v)
-            .map(Some)
-            .map_err(|e| format!("invalid --jobs {v}: {e}")),
-        None => crate::perf::parallel::jobs_from_env("PYPM_JOBS").map_err(|e| e.to_string()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,13 +232,7 @@ mod tests {
         Spec {
             usage: "test",
             positionals: (0, 1),
-            value_flags: &[
-                "--config",
-                "--sweep-policy",
-                "--policy",
-                "--jobs",
-                "--matcher",
-            ],
+            value_flags: &["--config", "--sweep-policy", "--policy", "--matcher"],
             bool_flags: &["--dot"],
         }
     }
@@ -277,13 +247,13 @@ mod tests {
         assert!(parse(&["--polcy", "continue"])
             .unwrap_err()
             .contains("unknown flag"));
-        assert!(parse(&["--jobs"]).unwrap_err().contains("missing value"));
+        assert!(parse(&["--matcher"]).unwrap_err().contains("missing value"));
         assert!(parse(&["a", "b"])
             .unwrap_err()
             .contains("unexpected argument 'b'"));
-        let ok = parse(&["m", "--jobs", "4", "--dot"]).unwrap();
+        let ok = parse(&["m", "--matcher", "fused", "--dot"]).unwrap();
         assert_eq!(ok.positionals, vec!["m"]);
-        assert_eq!(ok.value("--jobs"), Some("4"));
+        assert_eq!(ok.value("--matcher"), Some("fused"));
         assert!(ok.has("--dot"));
     }
 

@@ -2,11 +2,10 @@
 //!
 //! The paper's matcher is designed to sit inside a long-running
 //! DL-compiler session: patterns loaded once, many graphs compiled.
-//! This module keeps that state — warm [`crate::perf::pool::WorkerPool`]
-//! threads, per-worker [`Session`] stores, a ruleset cache — alive
-//! across requests, turning the one-shot `pypmc compile` into a
-//! service. Std-only: a plain TCP accept loop plus a bounded worker
-//! queue, no async runtime.
+//! This module keeps that state — per-worker [`Session`] stores and a
+//! ruleset cache — alive across requests, turning the one-shot `pypmc
+//! compile` into a service. Std-only: a plain TCP accept loop plus a
+//! bounded worker queue, no async runtime.
 //!
 //! ## Protocol
 //!
@@ -26,7 +25,7 @@
 //! ping
 //! stats
 //! shutdown
-//! compile <model> [config=<C>] [policy=<P>] [matcher=<M>] [jobs=<N>]
+//! compile <model> [config=<C>] [policy=<P>] [matcher=<M>]
 //!         [timeout_ms=<T>] [step_limit=<S>]
 //! ```
 //!
@@ -38,20 +37,19 @@
 //! A successful `compile` responds with the request's
 //! `pypm.pipeline.v1` stats JSON — the same document `pypmc compile
 //! --stats-json` writes, byte-identical in every semantic counter (the
-//! wall-clock fields and the warm-pool reuse counter legitimately
-//! differ on a warm server). `stats` responds with a
-//! `pypm.serve.stats.v1` JSON document carrying the cache counters.
+//! wall-clock fields legitimately differ on a warm server). `stats`
+//! responds with a `pypm.serve.stats.v1` JSON document carrying the
+//! cache counters.
 //!
 //! ## The result cache
 //!
 //! Every worker shares one [`ResultCache`]: before compiling, the
 //! request is content-addressed — a [`CacheKey`] over the engine
 //! version, the canonical `PYPMWIRE` graph bytes, the rule-set bytes,
-//! the library configuration, the sweep policy, the matcher backend
-//! and the effective job count — and a hit returns the stored
-//! `pypm.pipeline.v1` report verbatim. Jobs and the matcher backend
-//! are part of the key because they change the
-//! machine-step/backtrack/admission counters; the engine version
+//! the library configuration, the sweep policy and the matcher
+//! backend — and a hit returns the stored `pypm.pipeline.v1` report
+//! verbatim. The matcher backend is part of the key because it changes
+//! the machine-step/backtrack/admission counters; the engine version
 //! (`CARGO_PKG_VERSION`) is part of it so a persistent store written
 //! by an older build reads as a miss rather than serving a report the
 //! current engine would not produce. The cached report is
@@ -82,11 +80,11 @@
 //! [`Budget`] to one compile; `pypmc serve
 //! --request-timeout-ms` / `--step-limit` set server-side defaults a
 //! request can override. The budget is checked at every commit-loop
-//! node, inside shard workers and during discrimination-tree walks, so
-//! an exceeded compile unwinds within a bounded number of machine
+//! node, inside machine probes and during discrimination-tree walks,
+//! so an exceeded compile unwinds within a bounded number of machine
 //! steps, answers [`STATUS_DEADLINE_EXCEEDED`] (the payload names the
-//! exhausted limits), and leaves the worker's session and warm pool
-//! fully reusable — the next request on the same worker compiles
+//! exhausted limits), and leaves the worker's session fully
+//! reusable — the next request on the same worker compiles
 //! byte-identically to a cold `pypmc compile`. Budget keys are *not*
 //! part of the cache key: a compile that finishes under budget produces
 //! the same report any budget would, and an exceeded one is an error
@@ -153,18 +151,12 @@
 //! A compile worker survives everything a request can throw at it: a
 //! panicking request handler is caught ([`std::panic::catch_unwind`])
 //! and answered with [`STATUS_ERROR`], and the worker's session is
-//! rebuilt before the next request. Worker-pool task panics inside the
-//! parallel match phase surface as clean pass errors (the engine's
-//! term-store loan guard restores the session stores), so the same
-//! session keeps serving.
+//! rebuilt before the next request.
 
 use crate::core::clock::{system_clock, Clock};
 use crate::core::Budget;
 use crate::dsl::LibraryConfig;
-use crate::engine::{
-    MatcherBackend, ParallelConfig, PassError, Pipeline, RewritePass, Session, SweepPolicy,
-};
-use crate::perf::pool::WorkerPool;
+use crate::engine::{MatcherBackend, PassError, Pipeline, RewritePass, Session, SweepPolicy};
 use crate::wire::cache::{CacheKey, ResultCache};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -223,10 +215,6 @@ const IDLE_POLL: Duration = Duration::from_millis(25);
 pub struct ServeConfig {
     /// Listen address; port 0 picks a free port (see [`Server::addr`]).
     pub addr: String,
-    /// Default per-request match-phase worker count (a request's
-    /// `jobs=N` wins). `1` compiles serially, like `pypmc compile
-    /// --jobs 1`.
-    pub jobs: usize,
     /// Compile worker threads — concurrent compiles in flight.
     pub workers: usize,
     /// Bounded admission queue depth: compiles waiting beyond the ones
@@ -267,7 +255,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
-            jobs: crate::perf::parallel::available_jobs(),
             workers: 2,
             queue_depth: 16,
             cache_capacity: 128,
@@ -288,7 +275,6 @@ struct CompileRequest {
     config: LibraryConfig,
     policy: SweepPolicy,
     matcher: MatcherBackend,
-    jobs: Option<usize>,
     timeout_ms: Option<u64>,
     step_limit: Option<u64>,
 }
@@ -318,7 +304,6 @@ fn parse_request(line: &str) -> Result<Request, String> {
                 config: LibraryConfig::both(),
                 policy: SweepPolicy::RestartOnRewrite,
                 matcher: MatcherBackend::default(),
-                jobs: None,
                 timeout_ms: None,
                 step_limit: None,
             };
@@ -336,12 +321,6 @@ fn parse_request(line: &str) -> Result<Request, String> {
                     }
                     "matcher" => {
                         req.matcher = crate::cli_args::parse_matcher(value)?;
-                    }
-                    "jobs" => {
-                        req.jobs = Some(
-                            crate::perf::parallel::parse_jobs(value)
-                                .map_err(|e| format!("invalid jobs={value}: {e}"))?,
-                        );
                     }
                     "timeout_ms" => {
                         req.timeout_ms = Some(parse_budget_value("timeout_ms", value)?);
@@ -586,27 +565,23 @@ impl Counters {
 }
 
 /// The state one compile worker keeps warm across requests: its own
-/// session stores (rebuilt only after a caught handler panic) and one
-/// persistent worker pool for parallel match phases.
+/// session stores (rebuilt only after a caught handler panic).
 struct WorkerState {
     session: Session,
-    pool: Option<Arc<WorkerPool>>,
-    default_jobs: usize,
     defaults: BudgetDefaults,
     cache: Arc<ResultCache>,
     clock: Arc<dyn Clock>,
     counters: Arc<Counters>,
     /// Request determinants → content hash. The zoo builders are pure,
     /// so the canonical graph/ruleset bytes — and therefore the cache
-    /// key — are a function of (model, config, policy, matcher, jobs);
-    /// once a worker has hashed a request's content it never rebuilds
-    /// the graph just to rediscover the same key.
-    key_memo: HashMap<(String, LibraryConfig, &'static str, &'static str, usize), CacheKey>,
+    /// key — are a function of (model, config, policy, matcher); once a
+    /// worker has hashed a request's content it never rebuilds the
+    /// graph just to rediscover the same key.
+    key_memo: HashMap<(String, LibraryConfig, &'static str, &'static str), CacheKey>,
 }
 
 impl WorkerState {
     fn new(
-        default_jobs: usize,
         defaults: BudgetDefaults,
         cache: Arc<ResultCache>,
         clock: Arc<dyn Clock>,
@@ -614,25 +589,12 @@ impl WorkerState {
     ) -> Self {
         WorkerState {
             session: Session::new(),
-            pool: None,
-            default_jobs,
             defaults,
             cache,
             clock,
             counters,
             key_memo: HashMap::new(),
         }
-    }
-
-    /// The worker's warm pool, created on the first parallel request
-    /// with `jobs - 1` threads (shard 0 of every warm phase runs on
-    /// the compile worker itself — the same sizing `pypmc compile`
-    /// uses).
-    fn pool(&mut self, jobs: usize) -> Arc<WorkerPool> {
-        Arc::clone(
-            self.pool
-                .get_or_insert_with(|| Arc::new(WorkerPool::new(jobs.max(2) - 1))),
-        )
     }
 
     /// Serves one compile: exactly the `pypmc compile` pipeline over
@@ -667,7 +629,6 @@ impl WorkerState {
             }
             Some(pypm_faults::Action::Delay(_)) | None => {}
         }
-        let jobs = req.jobs.unwrap_or(self.default_jobs).max(1);
         // The cooperative whole-request budget: request keys win over
         // the server defaults. Deliberately *not* part of the cache
         // key — a compile that finishes under budget produces the
@@ -706,7 +667,6 @@ impl WorkerState {
             req.config,
             req.policy.name(),
             req.matcher.name(),
-            jobs,
         );
         let mut probed = false;
         if self.cache.is_enabled() {
@@ -733,15 +693,14 @@ impl WorkerState {
         }
         let rules = self.session.load_library_cached(req.config);
         // Content-address the request: the canonical graph bytes plus
-        // everything else that shapes the report. Jobs and the matcher
-        // backend are in the key because they change the
-        // machine-step/backtrack/admission counters; the engine version
-        // is in it so a persistent store outliving this binary (an
-        // upgraded server over an old --cache-dir) misses instead of
-        // replaying a stale report. Both encodes charge the budget —
-        // the graph codec per node, the rule-set bytes per 64-byte
-        // chunk — so key construction cannot outlive the deadline
-        // unbudgeted.
+        // everything else that shapes the report. The matcher backend
+        // is in the key because it changes the machine-step/backtrack/
+        // admission counters; the engine version is in it so a
+        // persistent store outliving this binary (an upgraded server
+        // over an old --cache-dir) misses instead of replaying a stale
+        // report. Both encodes charge the budget — the graph codec per
+        // node, the rule-set bytes per 64-byte chunk — so key
+        // construction cannot outlive the deadline unbudgeted.
         let key = if self.cache.is_enabled() {
             let graph_bytes =
                 crate::wire::encode_graph_budgeted(&graph, &self.session.syms, budget.as_deref())
@@ -761,7 +720,6 @@ impl WorkerState {
                 format!("{:?}", req.config).as_bytes(),
                 req.policy.name().as_bytes(),
                 req.matcher.name().as_bytes(),
-                &(jobs as u64).to_le_bytes(),
             ]);
             self.key_memo.insert(memo, key);
             Some(key)
@@ -775,14 +733,7 @@ impl WorkerState {
                 }
             }
         }
-        // Serial requests never touch a pool (the `--jobs 1`
-        // contract); parallel ones share this worker's warm one.
-        let pool = (jobs > 1).then(|| self.pool(jobs));
-        let mut pipeline =
-            Pipeline::new(&mut self.session).parallelism(ParallelConfig::with_jobs(jobs));
-        if let Some(pool) = pool {
-            pipeline = pipeline.with_pool(pool);
-        }
+        let mut pipeline = Pipeline::new(&mut self.session);
         if let Some(b) = &budget {
             pipeline = pipeline.with_budget(Arc::clone(b));
         }
@@ -793,16 +744,16 @@ impl WorkerState {
                     .matcher(req.matcher),
             );
         }
-        let reports = pipeline
-            .run_batch(std::slice::from_mut(&mut graph))
+        let report = pipeline
+            .run(&mut graph)
             .map_err(|e| match &e.error {
                 PassError::BudgetExceeded { limits } => (
                     STATUS_DEADLINE_EXCEEDED,
                     format!("compile budget exceeded ({limits}); the worker is ready for the next request"),
                 ),
                 _ => (STATUS_ERROR, format!("rewrite pass failed: {e}")),
-            })?;
-        let report = reports[0].to_json();
+            })?
+            .to_json();
         // Report rendering is the last unbudgeted edge: charge it (per
         // 64-byte chunk) so DEADLINE_EXCEEDED is a whole-request
         // guarantee, and never cache a report whose budget tripped.
@@ -830,19 +781,12 @@ impl WorkerState {
 /// still waiting for.
 fn worker_loop(
     queue: Arc<JobQueue>,
-    default_jobs: usize,
     defaults: BudgetDefaults,
     cache: Arc<ResultCache>,
     clock: Arc<dyn Clock>,
     counters: Arc<Counters>,
 ) {
-    let mut state = WorkerState::new(
-        default_jobs,
-        defaults,
-        cache,
-        Arc::clone(&clock),
-        Arc::clone(&counters),
-    );
+    let mut state = WorkerState::new(defaults, cache, Arc::clone(&clock), Arc::clone(&counters));
     loop {
         let entry = match queue.pop() {
             Popped::Entry(entry) => entry,
@@ -886,7 +830,6 @@ fn worker_loop(
             Ok(Err(err)) => err,
             Err(_) => {
                 state = WorkerState::new(
-                    default_jobs,
                     defaults,
                     Arc::clone(&state.cache),
                     Arc::clone(&clock),
@@ -992,13 +935,10 @@ impl Server {
         let workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
             .map(|_| {
                 let queue = Arc::clone(&queue);
-                let jobs = config.jobs.max(1);
                 let cache = Arc::clone(&cache);
                 let clock = Arc::clone(&clock);
                 let counters = Arc::clone(&counters);
-                std::thread::spawn(move || {
-                    worker_loop(queue, jobs, defaults, cache, clock, counters)
-                })
+                std::thread::spawn(move || worker_loop(queue, defaults, cache, clock, counters))
             })
             .collect();
         let accept = {
@@ -1644,14 +1584,13 @@ mod tests {
                 config: LibraryConfig::both(),
                 policy: SweepPolicy::RestartOnRewrite,
                 matcher: MatcherBackend::Fused,
-                jobs: None,
                 timeout_ms: None,
                 step_limit: None,
             }))
         );
         assert_eq!(
             parse_request(
-                "compile vgg11 config=all+synth39 policy=incremental matcher=per-pattern jobs=4 \
+                "compile vgg11 config=all+synth39 policy=incremental matcher=per-pattern \
                  timeout_ms=250 step_limit=100000"
             ),
             Ok(Request::Compile(CompileRequest {
@@ -1659,7 +1598,6 @@ mod tests {
                 config: LibraryConfig::all().with_synth(39),
                 policy: SweepPolicy::Incremental,
                 matcher: MatcherBackend::PerPattern,
-                jobs: Some(4),
                 timeout_ms: Some(250),
                 step_limit: Some(100_000),
             }))
@@ -1675,8 +1613,10 @@ mod tests {
         assert!(parse_request("compile m config=all+synthX").is_err());
         assert!(parse_request("compile m policy=bogus").is_err());
         assert!(parse_request("compile m matcher=bogus").is_err());
-        assert!(parse_request("compile m jobs=0").is_err());
-        assert!(parse_request("compile m jobs=four").is_err());
+        // Compiles are serial; the former worker-count key is unknown.
+        assert!(parse_request("compile m jobs=2")
+            .unwrap_err()
+            .contains("unknown key 'jobs'"));
         assert!(parse_request("compile m stray").is_err());
         assert!(parse_request("compile m color=red").is_err());
         // Budget keys: zero and non-numeric are rejected with reasons
@@ -1744,7 +1684,6 @@ mod tests {
                 config: LibraryConfig::both(),
                 policy: SweepPolicy::RestartOnRewrite,
                 matcher: MatcherBackend::Fused,
-                jobs: None,
                 timeout_ms: None,
                 step_limit: None,
             },

@@ -3,9 +3,9 @@
 //!
 //! Each schedule arms a random set of failpoints (cache read/write/
 //! evict I/O errors, torn cache writes, dropped frame reads/writes,
-//! slow and panicking pool workers), brings up a server with randomized
+//! slow and panicking compiles), brings up a server with randomized
 //! limits, and sweeps randomized requests across zoo models × sweep
-//! policies × job counts — some carrying `timeout_ms=`/`step_limit=`
+//! policies × matcher backends — some carrying `timeout_ms=`/`step_limit=`
 //! budgets. The robustness contract under fire:
 //!
 //! * no panic escapes a worker (the server keeps answering),
@@ -84,11 +84,10 @@ impl Rng {
 
 const MODELS: &[&str] = &["bert-tiny", "bert-small", "vgg11"];
 const POLICIES: &[&str] = &["restart", "continue", "incremental"];
-const JOBS: &[usize] = &[1, 2, 4];
+const MATCHERS: &[&str] = &["per-pattern", "fused"];
 
-/// Masks `wall_ms`, `duration_ms`, `warm_wall_ms` and
-/// `pool_spawn_reuse` — the only legitimately volatile fields of a
-/// `pypm.pipeline.v1` document (see the serve module docs).
+/// Masks `wall_ms` and `duration_ms` — the only legitimately volatile
+/// fields of a `pypm.pipeline.v1` document (see the serve module docs).
 fn mask_volatile(json: &str) -> String {
     let mut out = String::with_capacity(json.len());
     let mut rest = json;
@@ -105,47 +104,40 @@ fn mask_volatile(json: &str) -> String {
 }
 
 fn find_volatile(s: &str) -> Option<(&'static str, usize)> {
-    [
-        "\"wall_ms\": ",
-        "\"duration_ms\": ",
-        "\"warm_wall_ms\": ",
-        "\"pool_spawn_reuse\": ",
-    ]
-    .into_iter()
-    .filter_map(|f| s.find(f).map(|p| (f, p)))
-    .min_by_key(|&(_, p)| p)
+    ["\"wall_ms\": ", "\"duration_ms\": "]
+        .into_iter()
+        .filter_map(|f| s.find(f).map(|p| (f, p)))
+        .min_by_key(|&(_, p)| p)
 }
 
 /// A cold in-process compile of one request — the byte-identity
 /// reference. Must only run while the registry is disarmed: it shares
 /// this process's failpoint sites.
-fn cold_report(model: &str, policy: &str, jobs: usize) -> String {
-    use pypm::engine::{ParallelConfig, Pipeline, RewritePass, Session};
+fn cold_report(model: &str, policy: &str, matcher: &str) -> String {
+    use pypm::engine::{Pipeline, RewritePass, Session};
     assert!(!pypm::faults::armed(), "cold reference needs faults off");
     let mut s = Session::new();
     let mut g = pypm::build_model(&mut s, model).expect("zoo model");
     let rules = s.load_library(pypm::dsl::LibraryConfig::both());
     let policy = pypm::cli_args::parse_policy(policy).expect("policy");
-    let mut pipeline = Pipeline::new(&mut s).parallelism(ParallelConfig::with_jobs(jobs));
+    let matcher = pypm::cli_args::parse_matcher(matcher).expect("matcher");
+    let mut pipeline = Pipeline::new(&mut s);
     if !rules.is_empty() {
-        pipeline = pipeline.with(RewritePass::new(rules).policy(policy));
+        pipeline = pipeline.with(RewritePass::new(rules).policy(policy).matcher(matcher));
     }
-    let reports = pipeline
-        .run_batch(std::slice::from_mut(&mut g))
-        .expect("cold compile");
-    reports[0].to_json()
+    pipeline.run(&mut g).expect("cold compile").to_json()
 }
 
-/// The masked reference report for every (model, policy, jobs) combo a
-/// schedule can request, computed before any fault is armed.
-fn reference_matrix() -> HashMap<(String, String, usize), String> {
+/// The masked reference report for every (model, policy, matcher)
+/// combo a schedule can request, computed before any fault is armed.
+fn reference_matrix() -> HashMap<(&'static str, &'static str, &'static str), String> {
     let mut refs = HashMap::new();
     for model in MODELS {
         for policy in POLICIES {
-            for &jobs in JOBS {
+            for matcher in MATCHERS {
                 refs.insert(
-                    ((*model).to_owned(), (*policy).to_owned(), jobs),
-                    mask_volatile(&cold_report(model, policy, jobs)),
+                    (*model, *policy, *matcher),
+                    mask_volatile(&cold_report(model, policy, matcher)),
                 );
             }
         }
@@ -181,20 +173,26 @@ fn random_fault_spec(rng: &mut Rng) -> String {
         parts.push(format!("frame.write=io%{}", 5 + rng.below(15)));
     }
     if rng.chance(40) {
-        parts.push(format!("worker.slow=delay:{}%20", 1 + rng.below(5)));
+        parts.push(format!("serve.compile=delay:{}%20", 1 + rng.below(5)));
     }
     if rng.chance(30) {
         parts.push(format!("serve.compile=delay:{}%25", 1 + rng.below(50)));
     }
+    // Last, so the percent delays above still get their draws: an
+    // unsampled percent entry falls through to the next one.
     if rng.chance(40) {
-        parts.push(format!("worker.panic=panic*{}", 1 + rng.below(2)));
+        parts.push(format!("serve.compile=panic*{}", 1 + rng.below(2)));
     }
     parts.join(";")
 }
 
 /// Runs one schedule: arm, serve randomized requests, assert the
 /// contract, disarm. Returns how many requests were served.
-fn run_schedule(schedule: u64, seed: u64, refs: &HashMap<(String, String, usize), String>) -> u64 {
+fn run_schedule(
+    schedule: u64,
+    seed: u64,
+    refs: &HashMap<(&'static str, &'static str, &'static str), String>,
+) -> u64 {
     let mut rng = Rng(seed ^ (schedule.wrapping_mul(0x0100_0000_01b3)));
     let cache_dir = rng.chance(50).then(|| {
         std::env::temp_dir().join(format!(
@@ -212,7 +210,6 @@ fn run_schedule(schedule: u64, seed: u64, refs: &HashMap<(String, String, usize)
     // possible.
     let vclock = Arc::new(VirtualClock::new());
     let config = ServeConfig {
-        jobs: 2,
         workers: 1 + rng.below(2) as usize,
         queue_depth: *rng.pick(&[0usize, 2, 8]),
         cache_capacity: *rng.pick(&[0usize, 8, 64]),
@@ -253,8 +250,8 @@ fn run_schedule(schedule: u64, seed: u64, refs: &HashMap<(String, String, usize)
     for _ in 0..8 {
         let model = *rng.pick(MODELS);
         let policy = *rng.pick(POLICIES);
-        let jobs = *rng.pick(JOBS);
-        let mut line = format!("compile {model} policy={policy} jobs={jobs}");
+        let matcher = *rng.pick(MATCHERS);
+        let mut line = format!("compile {model} policy={policy} matcher={matcher}");
         let timeout_ms = rng.chance(30).then(|| 10 + rng.below(40));
         if let Some(t) = timeout_ms {
             line.push_str(&format!(" timeout_ms={t}"));
@@ -276,7 +273,7 @@ fn run_schedule(schedule: u64, seed: u64, refs: &HashMap<(String, String, usize)
         served += 1;
 
         // Exact virtual accounting: the only thing that advances the
-        // schedule's clock is a recorded sleep (injected worker/frame
+        // schedule's clock is a recorded sleep (injected compile/frame
         // delays). Any other drift would mean a hidden wait the
         // harness cannot see.
         assert_eq!(
@@ -298,7 +295,7 @@ fn run_schedule(schedule: u64, seed: u64, refs: &HashMap<(String, String, usize)
         // one.
         match status {
             STATUS_OK => {
-                let expected = &refs[&(model.to_owned(), policy.to_owned(), jobs)];
+                let expected = &refs[&(model, policy, matcher)];
                 assert_eq!(
                     &mask_volatile(&body),
                     expected,
@@ -348,7 +345,6 @@ fn run_schedule(schedule: u64, seed: u64, refs: &HashMap<(String, String, usize)
     // serving uncorrupted results.
     if let Some(dir) = &cache_dir {
         let fresh = Server::bind(ServeConfig {
-            jobs: 2,
             workers: 1,
             queue_depth: 4,
             cache_capacity: 8,
@@ -358,12 +354,12 @@ fn run_schedule(schedule: u64, seed: u64, refs: &HashMap<(String, String, usize)
         .expect("rebind on the chaos cache dir");
         let mut c = Client::connect(fresh.addr()).expect("connect");
         let (status, body) = c
-            .request("compile bert-tiny policy=restart jobs=2")
+            .request("compile bert-tiny policy=restart matcher=fused")
             .unwrap();
         assert_eq!(status, STATUS_OK, "{body}");
         assert_eq!(
             &mask_volatile(&body),
-            &refs[&("bert-tiny".to_owned(), "restart".to_owned(), 2)],
+            &refs[&("bert-tiny", "restart", "fused")],
             "[schedule {schedule}] post-restart compile diverged"
         );
         let (_, stats) = c.request("stats").unwrap();
@@ -396,7 +392,6 @@ fn with_faults_disabled_served_results_are_byte_identical_zoo_wide() {
     pypm::faults::disarm();
     let refs = reference_matrix();
     let server = Server::bind(ServeConfig {
-        jobs: 4,
         workers: 2,
         queue_depth: 8,
         ..ServeConfig::default()
@@ -405,15 +400,18 @@ fn with_faults_disabled_served_results_are_byte_identical_zoo_wide() {
     let mut client = Client::connect(server.addr()).unwrap();
     for model in MODELS {
         for policy in POLICIES {
-            for &jobs in JOBS {
+            for matcher in MATCHERS {
                 let (status, body) = client
-                    .request_with_retry(&format!("compile {model} policy={policy} jobs={jobs}"), 8)
+                    .request_with_retry(
+                        &format!("compile {model} policy={policy} matcher={matcher}"),
+                        8,
+                    )
                     .unwrap();
-                assert_eq!(status, STATUS_OK, "{model}/{policy}/{jobs}: {body}");
+                assert_eq!(status, STATUS_OK, "{model}/{policy}/{matcher}: {body}");
                 assert_eq!(
                     &mask_volatile(&body),
-                    &refs[&((*model).to_owned(), (*policy).to_owned(), jobs)],
-                    "{model}/{policy}/jobs={jobs} diverged with faults disabled"
+                    &refs[&(*model, *policy, *matcher)],
+                    "{model}/{policy}/{matcher} diverged with faults disabled"
                 );
             }
         }

@@ -75,83 +75,6 @@ fn compile_policy_alias_still_works() {
     assert!(out.status.success(), "{out:?}");
 }
 
-/// Spawns pypmc with an explicit `PYPM_JOBS` state: `Some(v)` sets it,
-/// `None` guarantees it is unset (the ambient CI matrix leg exports it).
-fn pypmc_with_jobs_env(args: &[&str], jobs_env: Option<&str>) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_pypmc"));
-    cmd.args(args);
-    match jobs_env {
-        Some(v) => cmd.env("PYPM_JOBS", v),
-        None => cmd.env_remove("PYPM_JOBS"),
-    };
-    cmd.output().expect("failed to spawn pypmc")
-}
-
-#[test]
-fn compile_jobs_flag_reports_parallel_stats() {
-    // All job counts compile to the same result; the report names the
-    // worker count and the probe accounting.
-    let mut rewrite_lines = Vec::new();
-    for jobs in ["1", "2", "4"] {
-        let out = pypmc(&["compile", "bert-tiny", "--jobs", jobs]);
-        assert!(out.status.success(), "--jobs {jobs}: {out:?}");
-        let text = stdout(&out);
-        assert!(text.contains("parallel"), "--jobs {jobs}: {text}");
-        if jobs == "1" {
-            assert!(
-                text.contains("1 job (serial match phase, no pool)"),
-                "{text}"
-            );
-        } else {
-            assert!(text.contains(&format!("{jobs} jobs")), "{text}");
-            assert!(text.contains("probes executed"), "{text}");
-            assert!(text.contains("pool"), "{text}");
-        }
-        let line = text
-            .lines()
-            .find(|l| l.starts_with("rewrites"))
-            .expect("rewrites line")
-            .to_owned();
-        rewrite_lines.push(line);
-    }
-    assert_eq!(rewrite_lines[0], rewrite_lines[1]);
-    assert_eq!(rewrite_lines[0], rewrite_lines[2]);
-}
-
-#[test]
-fn compile_jobs_zero_and_garbage_are_rejected() {
-    for bad in ["0", "four", "-3", ""] {
-        let out = pypmc(&["compile", "bert-tiny", "--jobs", bad]);
-        assert_eq!(out.status.code(), Some(2), "--jobs {bad:?}: {out:?}");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("invalid --jobs"), "--jobs {bad:?}: {err}");
-        assert!(err.contains("usage: pypmc compile"), "{err}");
-    }
-}
-
-#[test]
-fn compile_jobs_env_override_and_flag_precedence() {
-    // PYPM_JOBS selects the worker count when no flag is given…
-    let out = pypmc_with_jobs_env(&["compile", "bert-tiny"], Some("3"));
-    assert!(out.status.success(), "{out:?}");
-    assert!(stdout(&out).contains("3 jobs"), "{}", stdout(&out));
-    // …the explicit flag wins over the environment…
-    let out = pypmc_with_jobs_env(&["compile", "bert-tiny", "--jobs", "2"], Some("3"));
-    assert!(out.status.success(), "{out:?}");
-    assert!(stdout(&out).contains("2 jobs"), "{}", stdout(&out));
-    // …a set-but-broken override fails loudly (exit 2, naming it)…
-    let out = pypmc_with_jobs_env(&["compile", "bert-tiny"], Some("fuor"));
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("invalid PYPM_JOBS=fuor"),
-        "{out:?}"
-    );
-    // …and with neither, the default resolves to some positive count.
-    let out = pypmc_with_jobs_env(&["compile", "bert-tiny"], None);
-    assert!(out.status.success(), "{out:?}");
-    assert!(stdout(&out).contains("parallel"), "{}", stdout(&out));
-}
-
 #[test]
 fn compile_matcher_flag_env_and_diagnostics() {
     // Both backends compile to identical rewrite lines; the backend
@@ -263,6 +186,12 @@ fn unknown_flags_are_rejected_with_usage() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown flag --polcy"), "{err}");
     assert!(err.contains("usage: pypmc compile"), "{err}");
+    // Compiles are serial: the former worker-count flag is unknown.
+    let out = pypmc(&["compile", "bert-tiny", "--jobs", "1"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --jobs"), "{err}");
+    assert!(err.contains("usage: pypmc compile"), "{err}");
 }
 
 #[test]
@@ -289,18 +218,16 @@ fn stray_positionals_are_rejected_with_usage() {
 fn batch_compile_reports_every_model_and_matches_individual_runs() {
     // One invocation, three graphs: per-model blocks in input order,
     // and each model's rewrite line byte-identical to its standalone
-    // compile (batching shares stores + pool but never changes
-    // results).
-    let batch = pypmc(&["compile", "bert-tiny", "vgg11", "bert-tiny", "--jobs", "4"]);
+    // compile (batching shares stores but never changes results).
+    let batch = pypmc(&["compile", "bert-tiny", "vgg11", "bert-tiny"]);
     assert!(batch.status.success(), "{batch:?}");
     let text = stdout(&batch);
     assert_eq!(text.matches("model      bert-tiny").count(), 2, "{text}");
     assert_eq!(text.matches("model      vgg11").count(), 1, "{text}");
-    assert_eq!(text.matches("batch of 3").count(), 3, "{text}");
     let batch_rewrites: Vec<&str> = text.lines().filter(|l| l.starts_with("rewrites")).collect();
     assert_eq!(batch_rewrites.len(), 3, "{text}");
     for (i, model) in ["bert-tiny", "vgg11"].into_iter().enumerate() {
-        let solo = pypmc(&["compile", model, "--jobs", "4"]);
+        let solo = pypmc(&["compile", model]);
         assert!(solo.status.success(), "{solo:?}");
         let solo_text = stdout(&solo);
         let solo_rewrites = solo_text
@@ -323,8 +250,6 @@ fn batch_compile_stats_json_wraps_per_model_reports() {
         "compile",
         "bert-tiny",
         "vgg11",
-        "--jobs",
-        "2",
         "--stats-json",
         path.to_str().unwrap(),
     ]);
@@ -334,47 +259,9 @@ fn batch_compile_stats_json_wraps_per_model_reports() {
     assert!(json.contains("\"model\": \"bert-tiny\""), "{json}");
     assert!(json.contains("\"model\": \"vgg11\""), "{json}");
     assert_eq!(json.matches("\"schema\": \"pypm.pipeline.v1\"").count(), 2);
-    assert!(json.contains("\"batch_graphs\": 2"), "{json}");
     for (open, close) in [('{', '}'), ('[', ']')] {
         assert_eq!(json.matches(open).count(), json.matches(close).count());
     }
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn serial_compile_bypasses_the_pool_entirely() {
-    // --jobs 1 is the pure serial path: no pool is constructed, no
-    // probe is cached or run inline — the parallel block stays zero.
-    let dir = std::env::temp_dir().join("pypmc_serial_json_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("serial.json");
-    let out = pypmc(&[
-        "compile",
-        "bert-small",
-        "--jobs",
-        "1",
-        "--stats-json",
-        path.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    assert!(
-        stdout(&out).contains("1 job (serial match phase, no pool)"),
-        "{}",
-        stdout(&out)
-    );
-    let json = std::fs::read_to_string(&path).unwrap();
-    for zeroed in [
-        "\"probes_inline\": 0",
-        "\"probes_executed\": 0",
-        "\"probes_reused\": 0",
-        "\"pool_rounds\": 0",
-        "\"pool_spawn_reuse\": 0",
-        "\"warm_batches\": 0",
-    ] {
-        assert!(json.contains(zeroed), "missing {zeroed}:\n{json}");
-    }
-    assert!(json.contains("\"jobs\": 1"), "{json}");
-    assert!(json.contains("\"batch_graphs\": 1"), "{json}");
     std::fs::remove_file(&path).ok();
 }
 
@@ -401,12 +288,12 @@ fn compile_stats_json_writes_pipeline_report() {
     assert!(json.contains("\"schema\": \"pypm.pipeline.v1\""), "{json}");
     assert!(json.contains("\"name\": \"rewrite\""), "{json}");
     assert!(json.contains("\"rewrites_fired\""), "{json}");
-    // The additive incremental and parallel blocks ride along in every
-    // report.
+    // The additive incremental and matcher blocks ride along in every
+    // report; compiles are serial, so there is no parallel block.
     assert!(json.contains("\"incremental\": {\"view_builds\""), "{json}");
     assert!(json.contains("\"nodes_reindexed\""), "{json}");
-    assert!(json.contains("\"parallel\": {\"jobs\""), "{json}");
-    assert!(json.contains("\"probes_by_shard\""), "{json}");
+    assert!(json.contains("\"matcher\": {\"backend\""), "{json}");
+    assert!(!json.contains("\"parallel\""), "{json}");
     std::fs::remove_file(&path).ok();
 }
 
@@ -432,21 +319,10 @@ fn compile_stats_json_unwritable_path_fails_cleanly() {
 }
 
 #[test]
-fn compile_empty_jobs_env_is_treated_as_unset() {
-    // `PYPM_JOBS= pypmc …` is the shell idiom for "unset": it must run
-    // with the default worker count, not die on a parse error.
-    for empty in ["", "  "] {
-        let out = pypmc_with_jobs_env(&["compile", "bert-tiny"], Some(empty));
-        assert!(out.status.success(), "PYPM_JOBS={empty:?}: {out:?}");
-        assert!(stdout(&out).contains("parallel"), "{}", stdout(&out));
-    }
-}
-
-#[test]
 fn serve_subcommand_listens_compiles_and_drains() {
     use std::io::BufRead;
     let mut child = Command::new(env!("CARGO_BIN_EXE_pypmc"))
-        .args(["serve", "--jobs", "2", "--workers", "1"])
+        .args(["serve", "--workers", "1"])
         .stdout(std::process::Stdio::piped())
         .spawn()
         .expect("failed to spawn pypmc serve");
@@ -461,7 +337,7 @@ fn serve_subcommand_listens_compiles_and_drains() {
         .parse()
         .expect("bound address");
     let mut c = pypm::serve::Client::connect(addr).unwrap();
-    let (status, body) = c.request("compile bert-tiny jobs=2").unwrap();
+    let (status, body) = c.request("compile bert-tiny").unwrap();
     assert_eq!(status, pypm::serve::STATUS_OK, "{body}");
     assert!(body.contains("\"schema\": \"pypm.pipeline.v1\""), "{body}");
     let (status, _) = c.request("shutdown").unwrap();
@@ -475,8 +351,9 @@ fn serve_rejects_bad_flags_and_values() {
     let out = pypmc(&["serve", "--bogus"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --bogus"));
-    let out = pypmc(&["serve", "--jobs", "0"]);
+    let out = pypmc(&["serve", "--jobs", "1"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --jobs"));
     let out = pypmc(&["serve", "--workers", "0"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let out = pypmc(&["serve", "--queue", "lots"]);

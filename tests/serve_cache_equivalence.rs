@@ -1,15 +1,15 @@
 //! The result-cache correctness story: a cache hit must be
 //! **byte-identical** to the cold compile it replays — for every zoo
-//! model, every sweep policy, serial and parallel — the cache must
-//! key on everything that shapes the counters (jobs included), must
+//! model, every sweep policy, both matcher backends — the cache must
+//! key on everything that shapes the counters (the backend included),
+//! must
 //! survive a server restart via `--cache-dir`, and must stay invisible
 //! when disabled.
 
 use pypm::serve::{Client, ServeConfig, Server, STATUS_OK};
 use std::process::Command;
 
-/// Masks `wall_ms`, `duration_ms`, `warm_wall_ms` and
-/// `pool_spawn_reuse` values — the same masking as
+/// Masks `wall_ms` and `duration_ms` values — the same masking as
 /// `tests/serve_equivalence.rs`.
 fn mask_volatile(json: &str) -> String {
     let mut out = String::with_capacity(json.len());
@@ -27,22 +27,19 @@ fn mask_volatile(json: &str) -> String {
 }
 
 fn find_volatile(s: &str) -> Option<(&'static str, usize)> {
-    [
-        "\"wall_ms\": ",
-        "\"duration_ms\": ",
-        "\"warm_wall_ms\": ",
-        "\"pool_spawn_reuse\": ",
-    ]
-    .into_iter()
-    .filter_map(|f| s.find(f).map(|p| (f, p)))
-    .min_by_key(|&(_, p)| p)
+    ["\"wall_ms\": ", "\"duration_ms\": "]
+        .into_iter()
+        .filter_map(|f| s.find(f).map(|p| (f, p)))
+        .min_by_key(|&(_, p)| p)
 }
 
-fn compile_ok(client: &mut Client, model: &str, policy: &str, jobs: usize) -> String {
+fn compile_ok(client: &mut Client, model: &str, policy: &str, matcher: &str) -> String {
     let (status, body) = client
-        .request(&format!("compile {model} policy={policy} jobs={jobs}"))
+        .request(&format!(
+            "compile {model} policy={policy} matcher={matcher}"
+        ))
         .unwrap();
-    assert_eq!(status, STATUS_OK, "{model}/{policy}/jobs={jobs}: {body}");
+    assert_eq!(status, STATUS_OK, "{model}/{policy}/{matcher}: {body}");
     body
 }
 
@@ -68,14 +65,13 @@ fn counter(stats: &str, name: &str) -> u64 {
     tail[..end].trim().parse().unwrap()
 }
 
-/// Every zoo model × every sweep policy × serial and parallel jobs:
+/// Every zoo model × every sweep policy × both matcher backends:
 /// the second identical request is a cache hit and its response is
 /// **byte-identical** to the cold compile's — not just masked-equal;
 /// the cached report is the cold report, verbatim.
 #[test]
-fn cache_hits_are_byte_identical_across_the_zoo_policies_and_jobs() {
+fn hits_are_byte_identical_across_zoo_policies_and_matchers() {
     let server = Server::bind(ServeConfig {
-        jobs: 4,
         workers: 1,
         queue_depth: 4,
         ..ServeConfig::default()
@@ -90,12 +86,12 @@ fn cache_hits_are_byte_identical_across_the_zoo_policies_and_jobs() {
     let mut expected_hits = 0;
     for name in &names {
         for policy in ["restart", "continue", "incremental"] {
-            for jobs in [1, 4] {
-                let cold = compile_ok(&mut client, name, policy, jobs);
-                let hit = compile_ok(&mut client, name, policy, jobs);
+            for matcher in ["per-pattern", "fused"] {
+                let cold = compile_ok(&mut client, name, policy, matcher);
+                let hit = compile_ok(&mut client, name, policy, matcher);
                 assert_eq!(
                     hit, cold,
-                    "{name}/{policy}/jobs={jobs}: cache hit diverged from the cold compile"
+                    "{name}/{policy}/{matcher}: cache hit diverged from the cold compile"
                 );
                 expected_hits += 1;
             }
@@ -121,19 +117,21 @@ fn cache_hits_are_byte_identical_across_the_zoo_policies_and_jobs() {
 #[test]
 fn cache_hits_match_the_cold_cli_after_masking() {
     let server = Server::bind(ServeConfig {
-        jobs: 4,
         workers: 1,
         queue_depth: 4,
         ..ServeConfig::default()
     })
     .unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
-    for (model, policy, jobs) in [("bert-small", "restart", 4), ("vgg16", "incremental", 1)] {
-        compile_ok(&mut client, model, policy, jobs); // prime: miss
-        let hit = compile_ok(&mut client, model, policy, jobs);
+    for (model, policy, matcher) in [
+        ("bert-small", "restart", "fused"),
+        ("vgg16", "incremental", "per-pattern"),
+    ] {
+        compile_ok(&mut client, model, policy, matcher); // prime: miss
+        let hit = compile_ok(&mut client, model, policy, matcher);
 
         let dir = std::env::temp_dir().join(format!(
-            "pypmc_cache_eq_{model}_{policy}_{jobs}_{:?}",
+            "pypmc_cache_eq_{model}_{policy}_{matcher}_{:?}",
             std::thread::current().id()
         ));
         std::fs::create_dir_all(&dir).unwrap();
@@ -144,12 +142,11 @@ fn cache_hits_match_the_cold_cli_after_masking() {
                 model,
                 "--sweep-policy",
                 policy,
-                "--jobs",
-                &jobs.to_string(),
+                "--matcher",
+                matcher,
                 "--stats-json",
                 path.to_str().unwrap(),
             ])
-            .env_remove("PYPM_JOBS")
             .output()
             .expect("failed to spawn pypmc");
         assert!(out.status.success(), "{model}: {out:?}");
@@ -159,28 +156,27 @@ fn cache_hits_match_the_cold_cli_after_masking() {
         assert_eq!(
             mask_volatile(&hit),
             mask_volatile(&cli),
-            "{model}/{policy}/jobs={jobs}: cached response diverged from the cold CLI"
+            "{model}/{policy}/{matcher}: cached response diverged from the cold CLI"
         );
     }
     server.shutdown();
     server.join();
 }
 
-/// Jobs is part of the cache key: the same model and policy at a
-/// different job count has different machine-step counters and must
-/// *miss*, not replay the wrong report.
+/// The matcher backend is part of the cache key: the same model and
+/// policy under the other backend has different machine-step counters
+/// and must *miss*, not replay the wrong report.
 #[test]
-fn different_job_counts_never_share_a_cache_entry() {
+fn different_matchers_never_share_a_cache_entry() {
     let server = Server::bind(ServeConfig {
-        jobs: 4,
         workers: 1,
         queue_depth: 4,
         ..ServeConfig::default()
     })
     .unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
-    compile_ok(&mut client, "bert-tiny", "restart", 1);
-    compile_ok(&mut client, "bert-tiny", "restart", 4);
+    compile_ok(&mut client, "bert-tiny", "restart", "per-pattern");
+    compile_ok(&mut client, "bert-tiny", "restart", "fused");
     let stats = stats_json(&mut client);
     assert_eq!(counter(&stats, "hits"), 0, "{stats}");
     assert_eq!(counter(&stats, "misses"), 2, "{stats}");
@@ -202,7 +198,6 @@ fn cache_dir_persists_across_server_restart() {
     let dir_s = dir.to_str().unwrap().to_owned();
 
     let first = Server::bind(ServeConfig {
-        jobs: 2,
         workers: 1,
         queue_depth: 4,
         cache_dir: Some(dir_s.clone()),
@@ -210,7 +205,7 @@ fn cache_dir_persists_across_server_restart() {
     })
     .unwrap();
     let mut client = Client::connect(first.addr()).unwrap();
-    let cold = compile_ok(&mut client, "bert-tiny", "incremental", 2);
+    let cold = compile_ok(&mut client, "bert-tiny", "incremental", "fused");
     let stats = stats_json(&mut client);
     assert_eq!(counter(&stats, "stores"), 1, "{stats}");
     drop(client);
@@ -219,7 +214,6 @@ fn cache_dir_persists_across_server_restart() {
 
     // A restarted server — fresh memory, same directory.
     let second = Server::bind(ServeConfig {
-        jobs: 2,
         workers: 1,
         queue_depth: 4,
         cache_dir: Some(dir_s),
@@ -227,7 +221,7 @@ fn cache_dir_persists_across_server_restart() {
     })
     .unwrap();
     let mut client = Client::connect(second.addr()).unwrap();
-    let warm = compile_ok(&mut client, "bert-tiny", "incremental", 2);
+    let warm = compile_ok(&mut client, "bert-tiny", "incremental", "fused");
     assert_eq!(
         warm, cold,
         "the restarted server's disk hit diverged from the original cold compile"
@@ -247,7 +241,6 @@ fn cache_dir_persists_across_server_restart() {
 #[test]
 fn a_disabled_cache_recompiles_and_counts_nothing() {
     let server = Server::bind(ServeConfig {
-        jobs: 2,
         workers: 1,
         queue_depth: 4,
         cache_capacity: 0,
@@ -255,8 +248,8 @@ fn a_disabled_cache_recompiles_and_counts_nothing() {
     })
     .unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
-    let a = compile_ok(&mut client, "bert-tiny", "restart", 2);
-    let b = compile_ok(&mut client, "bert-tiny", "restart", 2);
+    let a = compile_ok(&mut client, "bert-tiny", "restart", "fused");
+    let b = compile_ok(&mut client, "bert-tiny", "restart", "fused");
     assert_eq!(mask_volatile(&a), mask_volatile(&b));
     let stats = stats_json(&mut client);
     assert_eq!(counter(&stats, "hits"), 0, "{stats}");

@@ -7,11 +7,21 @@ use pypm::serve::{
     Client, ServeConfig, Server, MAX_FRAME, STATUS_BAD_REQUEST, STATUS_DEADLINE_EXCEEDED,
     STATUS_ERROR, STATUS_OK, STATUS_OVERLOADED, STATUS_SHUTTING_DOWN, STATUS_UNKNOWN_MODEL,
 };
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
-/// A small server for most tests: modest queue, parallel compiles.
+/// The failpoint registry is process-global, so an armed
+/// `serve.compile` fault would fire in whichever test compiles next.
+/// The one test that arms it holds this lock exclusively; every other
+/// test holds it shared for its whole run.
+static FAULTS: RwLock<()> = RwLock::new(());
+
+fn faults_disarmed() -> RwLockReadGuard<'static, ()> {
+    FAULTS.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A small server for most tests: modest queue, two workers.
 fn spawn_server() -> Server {
     Server::bind(ServeConfig {
-        jobs: 4,
         workers: 2,
         queue_depth: 32,
         ..ServeConfig::default()
@@ -28,13 +38,14 @@ fn shutdown_and_join(server: Server) {
 
 #[test]
 fn ping_compile_and_errors_over_one_connection() {
+    let _faults = faults_disarmed();
     let server = spawn_server();
     let mut c = Client::connect(server.addr()).unwrap();
 
     let (status, body) = c.request("ping").unwrap();
     assert_eq!((status, body.as_str()), (STATUS_OK, "pong"));
 
-    let (status, body) = c.request("compile bert-tiny jobs=4").unwrap();
+    let (status, body) = c.request("compile bert-tiny").unwrap();
     assert_eq!(status, STATUS_OK, "{body}");
     assert!(body.contains("\"schema\": \"pypm.pipeline.v1\""), "{body}");
     assert!(body.contains("\"rewrites_fired\""), "{body}");
@@ -57,11 +68,12 @@ fn ping_compile_and_errors_over_one_connection() {
 
 #[test]
 fn all_request_parameters_are_honored() {
+    let _faults = faults_disarmed();
     let server = spawn_server();
     let mut c = Client::connect(server.addr()).unwrap();
     for line in [
-        "compile bert-tiny config=baseline policy=incremental jobs=1",
-        "compile vgg11 config=all policy=continue jobs=2",
+        "compile bert-tiny config=baseline policy=incremental",
+        "compile vgg11 config=all policy=continue matcher=per-pattern",
         "compile bert-tiny config=fmha",
         "compile bert-tiny config=epilog policy=restart",
     ] {
@@ -69,26 +81,25 @@ fn all_request_parameters_are_honored() {
         assert_eq!(status, STATUS_OK, "{line}: {body}");
         assert!(body.contains("pypm.pipeline.v1"), "{line}: {body}");
     }
-    // `config=baseline jobs=1` really ran serial: the parallel block
-    // reports one job.
-    let (status, body) = c.request("compile bert-tiny jobs=1").unwrap();
+    // `matcher=per-pattern` really selected the reference backend.
+    let (status, body) = c.request("compile bert-tiny matcher=per-pattern").unwrap();
     assert_eq!(status, STATUS_OK);
-    assert!(body.contains("\"jobs\": 1"), "{body}");
+    assert!(body.contains("\"backend\": \"per-pattern\""), "{body}");
     shutdown_and_join(server);
 }
 
 #[test]
 fn eight_concurrent_clients_get_identical_counters() {
+    let _faults = faults_disarmed();
     let server = spawn_server();
     let addr = server.addr();
     // One reference response, then 8 clients × 3 requests each, all in
     // flight at once. Every successful response must match the
-    // reference byte-for-byte after masking the wall-clock fields and
-    // the warm-pool reuse counter (the only legitimately volatile
-    // fields — see the serve module docs).
+    // reference byte-for-byte after masking the wall-clock fields (the
+    // only legitimately volatile fields — see the serve module docs).
     let reference = {
         let mut c = Client::connect(addr).unwrap();
-        let (status, body) = c.request("compile bert-tiny jobs=4").unwrap();
+        let (status, body) = c.request("compile bert-tiny").unwrap();
         assert_eq!(status, STATUS_OK);
         mask_volatile(&body)
     };
@@ -98,7 +109,7 @@ fn eight_concurrent_clients_get_identical_counters() {
             std::thread::spawn(move || {
                 let mut c = Client::connect(addr).unwrap();
                 for _ in 0..3 {
-                    let (status, body) = c.request("compile bert-tiny jobs=4").unwrap();
+                    let (status, body) = c.request("compile bert-tiny").unwrap();
                     // Admission control may push back under the burst;
                     // retry is the documented client behaviour.
                     if status == STATUS_OVERLOADED {
@@ -116,9 +127,8 @@ fn eight_concurrent_clients_get_identical_counters() {
     shutdown_and_join(server);
 }
 
-/// Masks the volatile fields of a `pypm.pipeline.v1` document: wall
-/// clocks and the warm-pool reuse counter (a warm server's pool has
-/// run batches before; a cold CLI's has not).
+/// Masks the volatile fields of a `pypm.pipeline.v1` document: the
+/// wall clocks.
 fn mask_volatile(json: &str) -> String {
     let mut out = String::with_capacity(json.len());
     let mut rest = json;
@@ -136,24 +146,19 @@ fn mask_volatile(json: &str) -> String {
 }
 
 fn find_volatile(s: &str) -> Option<(&'static str, usize)> {
-    [
-        "\"wall_ms\": ",
-        "\"duration_ms\": ",
-        "\"warm_wall_ms\": ",
-        "\"pool_spawn_reuse\": ",
-    ]
-    .into_iter()
-    .filter_map(|f| s.find(f).map(|p| (f, p)))
-    .min_by_key(|&(_, p)| p)
+    ["\"wall_ms\": ", "\"duration_ms\": "]
+        .into_iter()
+        .filter_map(|f| s.find(f).map(|p| (f, p)))
+        .min_by_key(|&(_, p)| p)
 }
 
 #[test]
 fn rendezvous_queue_rejects_the_burst_with_overloaded() {
+    let _faults = faults_disarmed();
     // workers=1, queue_depth=0: one compile in flight, zero waiting.
     // A burst of concurrent compiles must see at least one immediate
     // STATUS_OVERLOADED — and every admitted request must succeed.
     let server = Server::bind(ServeConfig {
-        jobs: 2,
         workers: 1,
         queue_depth: 0,
         ..ServeConfig::default()
@@ -167,7 +172,7 @@ fn rendezvous_queue_rejects_the_burst_with_overloaded() {
                 let mut ok = 0u32;
                 let mut overloaded = 0u32;
                 for _ in 0..4 {
-                    let (status, body) = c.request("compile bert-small jobs=2").unwrap();
+                    let (status, body) = c.request("compile bert-small").unwrap();
                     match status {
                         STATUS_OK => {
                             assert!(body.contains("pypm.pipeline.v1"), "{body}");
@@ -198,6 +203,7 @@ fn rendezvous_queue_rejects_the_burst_with_overloaded() {
 
 #[test]
 fn garbage_and_truncated_frames_do_not_kill_the_server() {
+    let _faults = faults_disarmed();
     let server = spawn_server();
     let addr = server.addr();
 
@@ -223,35 +229,35 @@ fn garbage_and_truncated_frames_do_not_kill_the_server() {
     assert_eq!(status, STATUS_BAD_REQUEST, "{body}");
 
     // And the server still compiles after all of it.
-    let (status, body) = c.request("compile bert-tiny jobs=2").unwrap();
+    let (status, body) = c.request("compile bert-tiny").unwrap();
     assert_eq!(status, STATUS_OK, "{body}");
     shutdown_and_join(server);
 }
 
+/// The server's pool of compile workers survives a handler panic: the
+/// panicking worker answers `ERROR`, rebuilds its session and keeps
+/// serving.
 #[test]
 fn server_survives_an_injected_worker_pool_panic() {
-    let server = spawn_server();
+    let _faults = FAULTS.write().unwrap_or_else(PoisonError::into_inner);
+    let server = Server::bind(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .expect("bind on an ephemeral port");
     let mut c = Client::connect(server.addr()).unwrap();
 
-    // Arm a one-shot panic failpoint inside the engine's parallel
-    // match phase. The request pins the per-pattern backend: the fused
-    // matcher filters warm rounds below the pool's dispatch grain, so
-    // the armed failpoint would never fire inside a pool task (and
-    // would leak into another test's run). The request must fail with
-    // a server-side error…
-    pypm::faults::arm("worker.panic=panic*1").unwrap();
-    let (status, body) = c
-        .request("compile bert-small jobs=4 matcher=per-pattern")
-        .unwrap();
+    // Arm a one-shot panic in the serve worker's compile handler. The
+    // request must fail with a server-side error…
+    pypm::faults::arm("serve.compile=panic*1").unwrap();
+    let (status, body) = c.request("compile bert-small").unwrap();
     pypm::faults::disarm();
     assert_eq!(status, STATUS_ERROR, "{body}");
-    assert!(body.contains("panic"), "{body}");
+    assert!(body.contains("panicked"), "{body}");
 
-    // …and the *same* worker (same session, same warm pool) serves the
-    // next request cleanly.
-    let (status, body) = c
-        .request("compile bert-small jobs=4 matcher=per-pattern")
-        .unwrap();
+    // …and the only worker, its session rebuilt, serves the next
+    // request cleanly.
+    let (status, body) = c.request("compile bert-small").unwrap();
     assert_eq!(status, STATUS_OK, "{body}");
     assert!(body.contains("\"rewrites_fired\""), "{body}");
     shutdown_and_join(server);
@@ -259,31 +265,31 @@ fn server_survives_an_injected_worker_pool_panic() {
 
 #[test]
 fn deadline_exceeded_compiles_leave_the_worker_reusable() {
+    let _faults = faults_disarmed();
     // step_limit=1 cannot finish any zoo compile: the response must be
     // DEADLINE_EXCEEDED naming the exhausted limit, and the *same*
     // worker (workers=1 pins it) must serve the next request cleanly.
     let server = Server::bind(ServeConfig {
-        jobs: 2,
         workers: 1,
         queue_depth: 4,
         ..ServeConfig::default()
     })
     .unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
-    let (status, body) = c.request("compile bert-small jobs=2 step_limit=1").unwrap();
+    let (status, body) = c.request("compile bert-small step_limit=1").unwrap();
     assert_eq!(status, STATUS_DEADLINE_EXCEEDED, "{body}");
     assert!(body.contains("step_limit=1"), "{body}");
 
-    // Same worker, same session and warm pool: an uncapped repeat
+    // Same worker, same session: an uncapped repeat
     // succeeds…
-    let (status, body) = c.request("compile bert-small jobs=2").unwrap();
+    let (status, body) = c.request("compile bert-small").unwrap();
     assert_eq!(status, STATUS_OK, "{body}");
     assert!(body.contains("pypm.pipeline.v1"), "{body}");
 
     // …and a generous budget is not part of the cache key, so the
     // same request with limits attached answers byte-identically.
     let (status2, body2) = c
-        .request("compile bert-small jobs=2 timeout_ms=600000 step_limit=1000000000")
+        .request("compile bert-small timeout_ms=600000 step_limit=1000000000")
         .unwrap();
     assert_eq!(status2, STATUS_OK, "{body2}");
     assert_eq!(
@@ -295,9 +301,9 @@ fn deadline_exceeded_compiles_leave_the_worker_reusable() {
 
 #[test]
 fn server_side_default_budgets_apply_and_requests_override_them() {
+    let _faults = faults_disarmed();
     // --step-limit as a ServeConfig default: every compile trips it…
     let server = Server::bind(ServeConfig {
-        jobs: 2,
         workers: 1,
         queue_depth: 4,
         step_limit: Some(1),
@@ -305,11 +311,11 @@ fn server_side_default_budgets_apply_and_requests_override_them() {
     })
     .unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
-    let (status, body) = c.request("compile bert-tiny jobs=2").unwrap();
+    let (status, body) = c.request("compile bert-tiny").unwrap();
     assert_eq!(status, STATUS_DEADLINE_EXCEEDED, "{body}");
     // …unless the request brings its own, roomier budget.
     let (status, body) = c
-        .request("compile bert-tiny jobs=2 step_limit=1000000000")
+        .request("compile bert-tiny step_limit=1000000000")
         .unwrap();
     assert_eq!(status, STATUS_OK, "{body}");
     shutdown_and_join(server);
@@ -317,6 +323,7 @@ fn server_side_default_budgets_apply_and_requests_override_them() {
 
 #[test]
 fn stats_stay_coherent_under_concurrent_load() {
+    let _faults = faults_disarmed();
     let server = spawn_server();
     let addr = server.addr();
     let mut c = Client::connect(addr).unwrap();
@@ -342,7 +349,7 @@ fn stats_stay_coherent_under_concurrent_load() {
                 let mut c = Client::connect(addr).unwrap();
                 for _ in 0..3 {
                     let (status, body) = c
-                        .request_with_retry("compile bert-tiny jobs=2 step_limit=1", 8)
+                        .request_with_retry("compile bert-tiny step_limit=1", 8)
                         .unwrap();
                     assert_eq!(status, STATUS_DEADLINE_EXCEEDED, "{body}");
                 }
@@ -365,8 +372,8 @@ fn stats_stay_coherent_under_concurrent_load() {
 
 #[test]
 fn shutdown_drains_in_flight_work_and_refuses_new_work() {
+    let _faults = faults_disarmed();
     let server = Server::bind(ServeConfig {
-        jobs: 2,
         workers: 1,
         queue_depth: 4,
         ..ServeConfig::default()
@@ -380,7 +387,7 @@ fn shutdown_drains_in_flight_work_and_refuses_new_work() {
         .map(|_| {
             std::thread::spawn(move || {
                 let mut c = Client::connect(addr).unwrap();
-                c.request("compile bert-small jobs=2").unwrap()
+                c.request("compile bert-small").unwrap()
             })
         })
         .collect();
@@ -403,12 +410,12 @@ fn shutdown_drains_in_flight_work_and_refuses_new_work() {
 
 #[test]
 fn compiles_admitted_before_shutdown_complete_with_ok() {
+    let _faults = faults_disarmed();
     // The strict drain guarantee, raced-free: admit one slow compile,
     // *wait for it to be admitted* (rendezvous queue hands it straight
     // to the worker), then shut down. The admitted compile must finish
     // OK; a compile sent after the drain flag is refused.
     let server = Server::bind(ServeConfig {
-        jobs: 2,
         workers: 1,
         queue_depth: 1,
         ..ServeConfig::default()
@@ -422,7 +429,7 @@ fn compiles_admitted_before_shutdown_complete_with_ok() {
     assert_eq!(status, STATUS_OK);
     let admitted = std::thread::spawn(move || {
         let mut c = Client::connect(addr).unwrap();
-        c.request("compile bert-small jobs=2").unwrap()
+        c.request("compile bert-small").unwrap()
     });
     // The request above is in flight; let the worker pick it up.
     std::thread::sleep(std::time::Duration::from_millis(30));
