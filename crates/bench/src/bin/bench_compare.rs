@@ -5,8 +5,9 @@
 //! ```
 //!
 //! Compares two `BENCH_rewrite_pass.json` documents (schema
-//! `pypm.bench.rewrite_pass.v6`, row-compatible with v5 through v1;
-//! the per-jobs sub-series older documents carry are ignored) and
+//! `pypm.bench.rewrite_pass.v7`, row-compatible with v6 through v1;
+//! the per-jobs sub-series and the `continue` policy series older
+//! documents carry are ignored) and
 //! exits non-zero when the current run regressed against the
 //! checked-in baseline:
 //!
@@ -304,6 +305,11 @@ fn load_table(path: &str) -> Result<(Table, Vec<ScalingRow>), String> {
             // v2 and later: one series per policy.
             Some(Value::Object(map)) => {
                 for (policy, series) in map {
+                    // v6 and older measured a `continue` policy the
+                    // engine no longer has: skipped, not lost coverage.
+                    if policy == "continue" {
+                        continue;
+                    }
                     policies.insert(policy.clone(), read_series(path, series)?);
                 }
             }
@@ -386,7 +392,7 @@ mod tests {
 
     fn doc(wall: f64, attempts: f64) -> String {
         format!(
-            r#"{{"schema": "pypm.bench.rewrite_pass.v6", "rows": [
+            r#"{{"schema": "pypm.bench.rewrite_pass.v7", "rows": [
                 {{"model": "m", "config": "both", "runs": 5,
                   "mean_wall_ms": {wall}, "mean_match_attempts": {attempts},
                   "mean_matches_found": 2.0, "mean_rewrites_fired": 2.0,
@@ -412,7 +418,7 @@ mod tests {
         // A v5 baseline's per-jobs sub-series (even a drifted one) is
         // ignored rather than reported as lost coverage.
         let v5 = doc(1.0, 100.0)
-            .replace("rewrite_pass.v6", "rewrite_pass.v5")
+            .replace("rewrite_pass.v7", "rewrite_pass.v5")
             .replace(
                 r#""mean_nodes_revisited": 9.0}"#,
                 r#""mean_nodes_revisited": 9.0, "jobs": {"4": {"mean_wall_ms": 9.0,
@@ -421,9 +427,22 @@ mod tests {
             );
         let c = write("id_v5", &v5);
         assert!(run(&[c.clone(), b.clone()]).is_ok());
+        // A v6 baseline's `continue` series (even a drifted one) is
+        // ignored too: the policy no longer exists.
+        let v6 = doc(1.0, 100.0)
+            .replace("rewrite_pass.v7", "rewrite_pass.v6")
+            .replace(
+                r#""mean_nodes_revisited": 9.0}"#,
+                r#""mean_nodes_revisited": 9.0}, "continue": {"mean_wall_ms": 9.0,
+              "min_wall_ms": 9.0, "mean_match_attempts": 1.0, "mean_matches_found": 2.0,
+              "mean_rewrites_fired": 2.0}"#,
+            );
+        let d = write("id_v6", &v6);
+        assert!(run(&[d.clone(), b.clone()]).is_ok());
         std::fs::remove_file(a).ok();
         std::fs::remove_file(b).ok();
         std::fs::remove_file(c).ok();
+        std::fs::remove_file(d).ok();
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub const CONFIG_NAMES: [&str; 4] = ["baseline", "fmha", "epilog", "both"];
 
 /// The sweep-policy series every `BENCH_rewrite_pass.json` row tracks,
 /// in schema order (`SweepPolicy::ALL`, by its stable names).
-pub const POLICY_NAMES: [&str; 3] = ["restart", "continue", "incremental"];
+pub const POLICY_NAMES: [&str; 2] = ["restart", "incremental"];
 
 /// The synthetic-rule counts of the rules-count scaling series (schema
 /// v5): the `all` library carries 13 rule-bearing patterns, so the
@@ -84,7 +84,8 @@ impl ModelRow {
     }
 }
 
-/// Compiles one model four ways on a fresh session each time.
+/// Compiles one model four ways on a fresh session each time, under
+/// the paper's reference restart policy.
 ///
 /// `build` constructs the model graph into the provided session.
 pub fn compile_four_ways(name: &str, build: impl Fn(&mut Session) -> Graph) -> ModelRow {
@@ -97,7 +98,7 @@ pub fn compile_four_ways(name: &str, build: impl Fn(&mut Session) -> Graph) -> M
             PassStats::default()
         } else {
             Pipeline::new(&mut session)
-                .with(RewritePass::new(rules))
+                .with(RewritePass::new(rules).policy(SweepPolicy::RestartOnRewrite))
                 .run(&mut graph)
                 .expect("rewrite pass succeeds")
                 .total()
@@ -135,8 +136,9 @@ pub struct CompileCostPoint {
     pub steps: u64,
 }
 
-/// Runs the FMHA-only and Epilog-only passes on one model and reports a
-/// cost point per pattern group.
+/// Runs the FMHA-only and Epilog-only passes on one model under the
+/// paper's reference restart policy and reports a cost point per
+/// pattern group.
 pub fn compile_cost_points(
     name: &str,
     build: impl Fn(&mut Session) -> Graph,
@@ -150,7 +152,7 @@ pub fn compile_cost_points(
         let mut graph = build(&mut session);
         let rules = session.load_library(cfg);
         let stats = Pipeline::new(&mut session)
-            .with(RewritePass::new(rules))
+            .with(RewritePass::new(rules).policy(SweepPolicy::RestartOnRewrite))
             .run(&mut graph)
             .expect("pass succeeds")
             .total();
@@ -404,7 +406,11 @@ pub fn rules_scaling_row(
             let rules = session.load_library(lib);
             rule_patterns = rules.patterns.len();
             let report = Pipeline::new(&mut session)
-                .with(RewritePass::new(rules).matcher(backend))
+                .with(
+                    RewritePass::new(rules)
+                        .policy(SweepPolicy::RestartOnRewrite)
+                        .matcher(backend),
+                )
                 .run(&mut graph)
                 .expect("rewrite pass succeeds");
             let total = report.total();
@@ -472,14 +478,14 @@ pub fn rules_scaling_rows(runs: usize) -> Vec<RulesScalingRow> {
 }
 
 /// Renders the `BENCH_rewrite_pass.json` document (schema
-/// `pypm.bench.rewrite_pass.v6` — v5 without the per-policy `jobs`
-/// sub-series, since every compile is serial; the top-level `mean_*`
+/// `pypm.bench.rewrite_pass.v7` — v6 without the `continue` policy
+/// series, which the engine no longer has; the top-level `mean_*`
 /// fields carry the restart series, so older consumers keep reading
 /// the paper-faithful values, and the top-level `rules_scaling` section
 /// holds per-matcher-backend probe/wall series at growing rule counts)
 /// from aggregated rows.
 pub fn rows_to_json(rows: &[PassBenchRow], scaling: &[RulesScalingRow]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"pypm.bench.rewrite_pass.v6\",\n  \"rows\": [");
+    let mut out = String::from("{\n  \"schema\": \"pypm.bench.rewrite_pass.v7\",\n  \"rows\": [");
     for (i, row) in rows.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -714,7 +720,7 @@ mod tests {
             row.policies.iter().map(|p| p.policy).collect::<Vec<_>>(),
             POLICY_NAMES
         );
-        let (restart, incremental) = (&row.policies[0], &row.policies[2]);
+        let (restart, incremental) = (&row.policies[0], &row.policies[1]);
         assert_eq!(restart.mean_rewrites_fired, incremental.mean_rewrites_fired);
         assert!(incremental.mean_match_attempts <= restart.mean_match_attempts);
         assert_eq!(incremental.mean_view_builds, 1.0);
@@ -734,12 +740,13 @@ mod tests {
         }
         let scaling = rules_scaling_row("bert-tiny", 13, 1, |s| cfg.build(s));
         let json = rows_to_json(std::slice::from_ref(&row), std::slice::from_ref(&scaling));
-        assert!(json.contains("\"schema\": \"pypm.bench.rewrite_pass.v6\""));
+        assert!(json.contains("\"schema\": \"pypm.bench.rewrite_pass.v7\""));
         assert!(json.contains("\"model\": \"bert-tiny\""));
         assert!(json.contains("\"policies\": {\"restart\""));
         assert!(json.contains("\"incremental\": {\"mean_wall_ms\""));
         assert!(json.contains("\"mean_nodes_reindexed\""));
         assert!(!json.contains("\"jobs\""));
+        assert!(!json.contains("\"continue\""));
         assert!(json.contains("\"schema\": \"pypm.pipeline.v1\""));
         assert!(json.contains("\"rules_scaling\": ["));
         assert!(json.contains("\"config\": \"all+synth13\""));
@@ -754,7 +761,7 @@ mod tests {
         let doc = json::parse(&json).expect("bench JSON parses");
         assert_eq!(
             doc.get("schema").and_then(json::Value::as_str),
-            Some("pypm.bench.rewrite_pass.v6")
+            Some("pypm.bench.rewrite_pass.v7")
         );
         assert_eq!(
             doc.get("rows")

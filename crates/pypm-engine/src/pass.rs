@@ -7,13 +7,9 @@
 //! instrumentation, published artifacts, and [`Observer`] hooks that
 //! stream match/rewrite events as they happen.
 //!
-//! The three built-in passes mirror the engine's historic entry points:
-//!
-//! | pass | replaces |
-//! |---|---|
-//! | [`crate::RewritePass`] | `Rewriter::new(..).run(..)` |
-//! | [`crate::PartitionPass`] | the free `partition(..)` function |
-//! | [`crate::ExplainObserver`] | ad-hoc `explain_match` plumbing |
+//! The built-in stages are [`crate::RewritePass`] (greedy rewriting),
+//! [`crate::PartitionPass`] (directed partitioning) and the
+//! [`crate::ExplainObserver`] hook (match narratives).
 
 use crate::rewriter::{PassStats, RewriteError};
 use crate::session::Session;

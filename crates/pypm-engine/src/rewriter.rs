@@ -9,19 +9,18 @@
 //! > the replacement is built and substituted into the graph in place of
 //! > the subgraph the pattern matched."
 //!
-//! [`Rewriter::run`] implements exactly that loop: sweep nodes in
+//! [`RewritePass`] implements exactly that loop: sweep nodes in
 //! topological order, drive the CorePyPM abstract machine at each node,
-//! fire the first rule whose guard holds, rebuild, and repeat until a
-//! full sweep finds nothing ("greedily rewriting all of the patterns it
-//! can match until no matches remain").
+//! fire the first rule whose guard holds, repair the term view, and
+//! repeat until a sweep finds nothing ("greedily rewriting all of the
+//! patterns it can match until no matches remain").
 //!
-//! Restarting is the paper's reference semantics but revisits the whole
-//! graph after every firing. [`SweepPolicy`] selects between that
-//! reference loop, a continue-in-place variant, and
-//! [`SweepPolicy::Incremental`] — a dirty-node worklist that repairs
-//! the term view with [`TermView::patch`] and re-examines only the cone
-//! of influence of each rewrite, while provably firing the identical
-//! rewrite sequence (the invariants are documented on the variant).
+//! [`SweepPolicy`] picks which nodes a sweep visits. Restarting visits
+//! every node and is the paper's reference semantics;
+//! [`SweepPolicy::Incremental`] (the default) visits only the nodes a
+//! rewrite's cone of influence dirtied, while provably firing the
+//! identical rewrite sequence (the invariants are documented on the
+//! variant).
 //!
 //! [`PassStats`] records the counters behind the paper's compile-time
 //! figures (Figs. 12–13): wall-clock matching time, match attempts
@@ -31,7 +30,7 @@
 use crate::matcher::{build_matcher, Matcher, MatcherBackend, MatcherStats};
 use crate::pass::{Pass, PassError, PassOutcome, PipelineCx, RejectReason};
 use crate::session::Session;
-use pypm_core::{Budget, Machine, Outcome, PatternId, Subst, TermId, Witness};
+use pypm_core::{Budget, Machine, Outcome, PatternId, TermId, Witness};
 use pypm_dsl::{Rhs, RuleSet};
 use pypm_graph::{Graph, NodeId, TermView};
 use std::collections::HashSet;
@@ -39,18 +38,14 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// What the pass does after a rewrite fires mid-sweep.
+/// Which nodes a sweep of the rewrite pass visits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SweepPolicy {
-    /// Restart the sweep from the first node, exactly the paper's
-    /// "repeatedly traverses the graph" loop (§2.4). Guarantees the
-    /// first-pattern-first-node match order at every step.
-    #[default]
+    /// Visit every node, restarting from the first after each rewrite:
+    /// exactly the paper's "repeatedly traverses the graph" loop (§2.4).
+    /// The reference the equivalence suites and the paper-figure
+    /// counters (Figs. 12–13) are taken against.
     RestartOnRewrite,
-    /// Patch the term view and continue the current sweep from the
-    /// next surviving node. Reaches the same fixpoint for the library's
-    /// rule sets with fewer traversals; used by the scheduling ablation.
-    ContinueSweep,
     /// Incremental rewriting via a dirty-node worklist: after a rewrite
     /// fires, only the cone of influence (the rewired users of the
     /// replaced root, the freshly created replacement nodes, and their
@@ -66,22 +61,56 @@ pub enum SweepPolicy {
     /// visited). The final graph is byte-identical to the restart
     /// policy's; only traversal counters (`nodes_visited`,
     /// `match_attempts`, `machine_steps`) shrink.
+    ///
+    /// Invariants behind that guarantee:
+    ///
+    /// 1. *Clean nodes cannot fire.* Whether a pattern matches at a node
+    ///    — and whether the matched rule's guards hold and its
+    ///    replacement is non-identity — depends only on the term rooted
+    ///    there plus the term-keyed attribute side tables. A node leaves
+    ///    the worklist only after a full pattern scan found nothing to
+    ///    fire, and re-enters it only if its term changes; therefore a
+    ///    node outside the worklist still has nothing to fire.
+    ///
+    ///    This additionally assumes the attribute tables are
+    ///    *deterministic per term* — true whenever nodes that view as
+    ///    the same term carry the same metadata and attributes.
+    ///    Attribute-carrying constants get value-specialized term
+    ///    symbols, and the library's compound attr-carrying kernels
+    ///    (e.g. `GemmEpilog`) derive their attrs from the matched
+    ///    subtree, so structurally equal subgraphs agree; a rule set
+    ///    violating this (two same-term nodes with different attrs
+    ///    whose first topo producer changes mid-pass) could flip a
+    ///    guard at a clean node that restarting would re-examine and
+    ///    this policy would not. The random-rule-subset byte-identity
+    ///    proptest (and its 4096-case nightly run) exists to catch any
+    ///    such divergence.
+    /// 2. *A rewrite dirties exactly its cone of influence.* Replacing a
+    ///    root changes the terms of the freshly created replacement
+    ///    nodes, the users rewired onto the replacement, and their
+    ///    transitive users — all strictly *after* the root in
+    ///    topological order. Nodes visited earlier in the current round
+    ///    keep their terms, so cleaning them as we pass is sound.
+    ///    [`TermView::patch`] computes the cone with early cut-off and
+    ///    the scheduler re-enqueues it.
+    /// 3. *Deterministic order.* Each round scans the graph's
+    ///    topological order and visits only worklist members, trying
+    ///    patterns in rule-set order; after a firing the round restarts.
+    ///    By (1) the first firing (node, pattern) pair in that filtered
+    ///    scan is the first firing pair of a full restart scan, so the
+    ///    rewrite sequence — and the final graph — is identical.
+    #[default]
     Incremental,
 }
 
 impl SweepPolicy {
     /// Every policy, in ablation order (reference first).
-    pub const ALL: [SweepPolicy; 3] = [
-        SweepPolicy::RestartOnRewrite,
-        SweepPolicy::ContinueSweep,
-        SweepPolicy::Incremental,
-    ];
+    pub const ALL: [SweepPolicy; 2] = [SweepPolicy::RestartOnRewrite, SweepPolicy::Incremental];
 
     /// The policy's stable command-line / JSON-series name.
     pub fn name(self) -> &'static str {
         match self {
             SweepPolicy::RestartOnRewrite => "restart",
-            SweepPolicy::ContinueSweep => "continue",
             SweepPolicy::Incremental => "incremental",
         }
     }
@@ -108,7 +137,7 @@ pub struct PassConfig {
     /// Upper bound on total rewrites, a safety net against rule sets
     /// that never reach a fixpoint.
     pub max_rewrites: usize,
-    /// Mid-sweep scheduling policy.
+    /// Which nodes each sweep visits.
     pub sweep_policy: SweepPolicy,
     /// Candidate-discovery backend run above the abstract machine (see
     /// [`crate::matcher`]). Backends fire byte-identical rewrite
@@ -121,7 +150,7 @@ impl Default for PassConfig {
         PassConfig {
             machine_fuel: 1_000_000,
             max_rewrites: 100_000,
-            sweep_policy: SweepPolicy::RestartOnRewrite,
+            sweep_policy: SweepPolicy::default(),
             matcher: MatcherBackend::Fused,
         }
     }
@@ -142,8 +171,8 @@ pub struct PassStats {
     pub machine_steps: u64,
     /// Machine backtracks across all attempts.
     pub machine_backtracks: u64,
-    /// Full sweeps over the graph (worklist rounds under
-    /// [`SweepPolicy::Incremental`]).
+    /// Sweeps over the graph's topological order (the fixpoint loop's
+    /// rounds; each firing starts a new one).
     pub sweeps: u64,
     /// Wall-clock time of the pass.
     pub duration: Duration,
@@ -161,8 +190,7 @@ pub struct PassStats {
     /// recompute once — the pre-sublinear design walked the whole live
     /// graph per patch, the baseline the bench trajectory's ≥5×
     /// reduction is measured against. Identical under restart and
-    /// incremental scheduling (same visits, same fires); continue
-    /// differs slightly (different visit order between fires).
+    /// incremental scheduling (same visits, same fires).
     pub nodes_reindexed: u64,
     /// Candidate-discovery counters for the configured matcher backend;
     /// see [`MatcherStats`] and the [`crate::matcher`] module docs.
@@ -239,7 +267,7 @@ impl fmt::Display for RewriteError {
 
 impl std::error::Error for RewriteError {}
 
-/// One successful match, as reported by [`Rewriter::find_matches`].
+/// One successful match, as reported by [`find_matches`].
 #[derive(Debug, Clone)]
 pub struct MatchReport {
     /// Index of the pattern in the rule set.
@@ -280,8 +308,8 @@ struct Fired {
     collected: Vec<NodeId>,
 }
 
-/// The internal engine shared by [`RewritePass`] and the deprecated
-/// [`Rewriter`] shim: the paper's greedy fixpoint loop.
+/// The internal engine behind [`RewritePass`] and [`find_matches`]:
+/// the paper's greedy fixpoint loop.
 struct Driver<'a> {
     session: &'a mut Session,
     rules: &'a RuleSet,
@@ -292,7 +320,7 @@ struct Driver<'a> {
     matcher: Option<Box<dyn Matcher>>,
     /// The run's cooperative resource budget, taken from the
     /// [`PipelineCx`] at the start of [`Driver::run`]; `None` (the
-    /// default, and every legacy entry point) means unlimited.
+    /// default) means unlimited.
     budget: Option<Arc<Budget>>,
 }
 
@@ -337,21 +365,16 @@ impl<'a> Driver<'a> {
         }
         let mut stats = PassStats::default();
         stats.matcher.backend = self.config.matcher.name();
-        match self.config.sweep_policy {
-            SweepPolicy::Incremental => self.run_worklist(graph, cx, &mut stats)?,
-            SweepPolicy::RestartOnRewrite | SweepPolicy::ContinueSweep => {
-                self.run_sweeps(graph, cx, &mut stats)?
-            }
-        }
+        self.run_sweeps(graph, cx, &mut stats)?;
         // Identity-rewrite probes may have left unreferenced nodes.
         graph.gc();
         stats.duration = start.elapsed();
         Ok(stats)
     }
 
-    /// Checks the run's cooperative budget (a no-op without one). Both
-    /// schedulers call this once per candidate visit and once per scan
-    /// round, so a tripped budget unwinds within one node visit.
+    /// Checks the run's cooperative budget (a no-op without one). The
+    /// scheduler calls this once per candidate visit, so a tripped
+    /// budget unwinds within one node visit.
     fn check_budget(&self) -> Result<(), RewriteError> {
         match &self.budget {
             Some(b) if !b.check() => Err(RewriteError::BudgetExceeded {
@@ -396,11 +419,9 @@ impl<'a> Driver<'a> {
     }
 
     /// Visits one node: counts the visit, tries every pattern in
-    /// rule-set order, and fires the first applicable rule. This is the
-    /// *shared* per-candidate step of both schedulers — keeping it in
-    /// one place is what lets the byte-identity contract between
-    /// [`SweepPolicy::RestartOnRewrite`] and
-    /// [`SweepPolicy::Incremental`] rest on scheduling alone.
+    /// rule-set order, and fires the first applicable rule. Both
+    /// policies run this same step; they differ only in which nodes
+    /// [`Driver::run_sweeps`] hands it.
     ///
     /// On a firing, the graph is already rewritten and collected; the
     /// returned [`Fired`] carries the dirty seed for
@@ -492,27 +513,29 @@ impl<'a> Driver<'a> {
         cone
     }
 
-    /// The sweeping scheduler behind [`SweepPolicy::RestartOnRewrite`]
-    /// and [`SweepPolicy::ContinueSweep`]: the paper's "repeatedly
-    /// traverses the graph" loop (§2.4).
+    /// The scheduler: the paper's "repeatedly traverses the graph" loop
+    /// (§2.4). Each round scans the graph's topological order; the
+    /// first firing repairs the view and starts a new round, and a
+    /// round that fires nothing is the fixpoint.
     ///
-    /// The term view is built once and then *repaired in place* after
-    /// every firing, under both policies: a repaired view is
-    /// contractually indistinguishable from a rebuild (the equivalence
-    /// the `termview` suites prove), and with lazy sublinear
-    /// maintenance a patch is an O(cone) marking walk with terms
-    /// recomputed on demand at visit time — under the restart policy
-    /// the old design paid one full O(graph) rebuild per rewrite, the
-    /// dominant view cost of the whole pass. What "restart" still
-    /// means is the *scan*: after a firing the traversal starts over
-    /// from the first node, exactly the paper's reference loop.
+    /// The policies differ in one candidate filter only:
+    /// [`SweepPolicy::RestartOnRewrite`] visits every node of the
+    /// round, [`SweepPolicy::Incremental`] only the members of a
+    /// dirty-node worklist (every node at first, then each rewrite's
+    /// cone of influence). The variant docs give the invariants that
+    /// make both fire the identical rewrite sequence.
+    ///
+    /// Under both, the term view is built once and then *repaired in
+    /// place* after every firing: a repaired view is contractually
+    /// indistinguishable from a rebuild (the equivalence the `termview`
+    /// suites prove), and a patch is an O(cone) marking walk with terms
+    /// recomputed on demand at visit time.
     fn run_sweeps(
         &mut self,
         graph: &mut Graph,
         cx: &mut PipelineCx,
         stats: &mut PassStats,
     ) -> Result<(), RewriteError> {
-        let mut visited_once: HashSet<NodeId> = HashSet::new();
         let mut view = TermView::build(
             graph,
             &mut self.session.syms,
@@ -520,116 +543,23 @@ impl<'a> Driver<'a> {
             &self.session.registry,
         );
         stats.view_builds += 1;
-        'sweeps: loop {
-            stats.sweeps += 1;
-            cx.set_sweep(stats.sweeps);
-            let order = graph.topo_order();
-            let mut sweep_fired = false;
-            for node in order {
-                if !graph.is_alive(node) {
-                    // Collected by an earlier rewrite in this sweep
-                    // (ContinueSweep policy).
-                    continue;
-                }
-                self.check_budget()?;
-                let Some(fired) =
-                    self.visit_node(graph, &mut view, node, &mut visited_once, stats, cx)?
-                else {
-                    continue;
-                };
-                sweep_fired = true;
-                // Repair the view in place: only the rewrite's cone of
-                // influence is re-interned and re-indexed.
-                self.repair_view(graph, &mut view, fired, stats);
-                if stats.rewrites_fired as usize >= self.config.max_rewrites {
-                    break 'sweeps;
-                }
-                match self.config.sweep_policy {
-                    SweepPolicy::RestartOnRewrite => {
-                        // Restart the scan from the first node.
-                        continue 'sweeps;
-                    }
-                    SweepPolicy::ContinueSweep | SweepPolicy::Incremental => {
-                        // Keep the sweep position (the just-rewritten
-                        // node is dead and will be skipped).
-                    }
-                }
-            }
-            if !sweep_fired {
-                // A full sweep with no rewrite: fixpoint reached.
-                break;
-            }
-        }
-        stats.nodes_reindexed += view.terms_recomputed();
-        Ok(())
-    }
-
-    /// The dirty-node worklist scheduler behind
-    /// [`SweepPolicy::Incremental`].
-    ///
-    /// Invariants that make this byte-identical to
-    /// [`SweepPolicy::RestartOnRewrite`]:
-    ///
-    /// 1. *Clean nodes cannot fire.* Whether a pattern matches at a node
-    ///    — and whether the matched rule's guards hold and its
-    ///    replacement is non-identity — depends only on the term rooted
-    ///    there plus the term-keyed attribute side tables. A node leaves
-    ///    the worklist only after a full pattern scan found nothing to
-    ///    fire, and re-enters it only if its term changes; therefore a
-    ///    node outside the worklist still has nothing to fire.
-    ///
-    ///    This additionally assumes the attribute tables are
-    ///    *deterministic per term* — true whenever nodes that view as
-    ///    the same term carry the same metadata and attributes.
-    ///    Attribute-carrying constants get value-specialized term
-    ///    symbols, and the library's compound attr-carrying kernels
-    ///    (e.g. `GemmEpilog`) derive their attrs from the matched
-    ///    subtree, so structurally equal subgraphs agree; a rule set
-    ///    violating this (two same-term nodes with different attrs
-    ///    whose first topo producer changes mid-pass) could flip a
-    ///    guard at a clean node that restarting would re-examine and
-    ///    this scheduler would not. The random-rule-subset byte-identity
-    ///    proptest (and its 4096-case nightly run) exists to catch any
-    ///    such divergence.
-    /// 2. *A rewrite dirties exactly its cone of influence.* Replacing a
-    ///    root changes the terms of the freshly created replacement
-    ///    nodes, the users rewired onto the replacement, and their
-    ///    transitive users — all strictly *after* the root in
-    ///    topological order. Nodes visited earlier in the current round
-    ///    keep their terms, so cleaning them as we pass is sound.
-    ///    [`TermView::patch`] computes the cone with early cut-off and
-    ///    the scheduler re-enqueues it.
-    /// 3. *Deterministic order.* Each round scans the graph's
-    ///    topological order and visits only worklist members, trying
-    ///    patterns in rule-set order; after a firing the round restarts.
-    ///    By (1) the first firing (node, pattern) pair in that filtered
-    ///    scan is the first firing pair of a full restart scan, so the
-    ///    rewrite sequence — and the final graph — is identical.
-    fn run_worklist(
-        &mut self,
-        graph: &mut Graph,
-        cx: &mut PipelineCx,
-        stats: &mut PassStats,
-    ) -> Result<(), RewriteError> {
-        let mut view = TermView::build(
-            graph,
-            &mut self.session.syms,
-            &mut self.session.terms,
-            &self.session.registry,
-        );
-        stats.view_builds += 1;
-        let mut dirty: HashSet<NodeId> = graph.topo_order().into_iter().collect();
+        let mut worklist: Option<HashSet<NodeId>> = match self.config.sweep_policy {
+            SweepPolicy::RestartOnRewrite => None,
+            SweepPolicy::Incremental => Some(graph.topo_order().into_iter().collect()),
+        };
         let mut visited_once: HashSet<NodeId> = HashSet::new();
         'rounds: loop {
             stats.sweeps += 1;
             cx.set_sweep(stats.sweeps);
-            let order = graph.topo_order();
-            for node in order {
-                // Only worklist members are candidates; visiting removes
-                // the node (it is re-enqueued if a later rewrite changes
-                // its term). Stale ids of collected nodes die here too.
-                if !dirty.remove(&node) {
-                    continue;
+            for node in graph.topo_order() {
+                // The candidate filter. Visiting removes a node from the
+                // worklist (a later rewrite re-enqueues it if its term
+                // changes); ids of collected nodes never reach the
+                // order, so they stay inert in the set.
+                if let Some(dirty) = &mut worklist {
+                    if !dirty.remove(&node) {
+                        continue;
+                    }
                 }
                 self.check_budget()?;
                 let Some(fired) =
@@ -637,23 +567,20 @@ impl<'a> Driver<'a> {
                 else {
                     continue;
                 };
-                // Repair before the rewrite-cap check, exactly like
-                // run_sweeps, so `view_patches == rewrites_fired` holds
-                // under every scheduler even when the cap cuts the pass
-                // short.
+                // Repair before the rewrite-cap check, so
+                // `view_patches == rewrites_fired` holds even when the
+                // cap cuts the pass short.
                 let cone = self.repair_view(graph, &mut view, fired, stats);
-                dirty.extend(cone);
+                if let Some(dirty) = &mut worklist {
+                    dirty.extend(cone);
+                }
                 if stats.rewrites_fired as usize >= self.config.max_rewrites {
                     break 'rounds;
                 }
-                // Restart the filtered scan so the next firing is the
-                // topologically first dirty candidate, mirroring the
-                // restart policy.
                 continue 'rounds;
             }
-            // Every firing restarts the round, so completing the
-            // filtered scan means nothing fired: every worklist member
-            // was visited and cleaned — fixpoint reached.
+            // Every firing starts a new round, so completing a scan
+            // means nothing fired: fixpoint reached.
             break;
         }
         stats.nodes_reindexed += view.terms_recomputed();
@@ -860,22 +787,21 @@ impl<'a> Driver<'a> {
     /// *without rewriting* — the matching mode used by directed graph
     /// partitioning (§4.2) and by diagnostics.
     fn find_matches(&mut self, graph: &Graph, pattern_name: &str) -> Vec<MatchReport> {
+        let Some((pi, def)) = self
+            .rules
+            .patterns
+            .iter()
+            .enumerate()
+            .find(|(_, d)| d.name == pattern_name)
+        else {
+            return Vec::new();
+        };
         let view = TermView::build(
             graph,
             &mut self.session.syms,
             &mut self.session.terms,
             &self.session.registry,
         );
-        let (pi, def) = match self
-            .rules
-            .patterns
-            .iter()
-            .enumerate()
-            .find(|(_, d)| d.name == pattern_name)
-        {
-            Some(found) => found,
-            None => return Vec::new(),
-        };
         let mut out = Vec::new();
         for node in graph.topo_order() {
             let t = match view.term_of(node) {
@@ -912,7 +838,7 @@ impl<'a> Driver<'a> {
 /// let rules = session.load_library(LibraryConfig::both());
 /// let mut graph = Graph::new();
 /// let report = Pipeline::new(&mut session)
-///     .with(RewritePass::new(rules).policy(SweepPolicy::ContinueSweep))
+///     .with(RewritePass::new(rules).policy(SweepPolicy::RestartOnRewrite))
 ///     .run(&mut graph)
 ///     .unwrap();
 /// assert_eq!(report.passes().len(), 1);
@@ -942,7 +868,7 @@ impl RewritePass {
         self
     }
 
-    /// Selects the mid-sweep scheduling policy.
+    /// Selects which nodes each sweep visits.
     pub fn policy(mut self, policy: SweepPolicy) -> Self {
         self.config.sweep_policy = policy;
         self
@@ -1000,80 +926,21 @@ pub fn find_matches(
     Driver::new(session, rules, PassConfig::default()).find_matches(graph, pattern_name)
 }
 
-/// The legacy rewrite engine entry point.
-///
-/// Deprecated: build a [`crate::Pipeline`] with a [`RewritePass`]
-/// instead — `Pipeline::new(&mut session).with(RewritePass::new(rules))
-/// .run(&mut graph)` — which adds per-pass instrumentation, observer
-/// hooks and JSON stats on top of the identical fixpoint loop (the
-/// counters in [`PassStats`] are byte-for-byte the same).
-#[deprecated(
-    since = "0.2.0",
-    note = "use Pipeline::new(&mut session).with(RewritePass::new(rules)); \
-            see the migration table in the pypm-engine crate docs"
-)]
-#[derive(Debug)]
-pub struct Rewriter<'a> {
-    session: &'a mut Session,
-    rules: &'a RuleSet,
-    config: PassConfig,
-}
-
-#[allow(deprecated)]
-impl<'a> Rewriter<'a> {
-    /// Creates a rewriter for the given session and rule set.
-    pub fn new(session: &'a mut Session, rules: &'a RuleSet) -> Self {
-        Rewriter {
-            session,
-            rules,
-            config: PassConfig::default(),
-        }
-    }
-
-    /// Overrides the pass configuration.
-    pub fn with_config(mut self, config: PassConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Runs the pass to fixpoint, mutating `graph` in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first replacement-construction failure; matching
-    /// itself cannot fail (fuel exhaustion on a pathological recursive
-    /// pattern is treated as "no match at this node").
-    pub fn run(&mut self, graph: &mut Graph) -> Result<PassStats, RewriteError> {
-        let mut cx = PipelineCx::new();
-        Driver::new(self.session, self.rules, self.config).run(graph, &mut cx)
-    }
-
-    /// Finds all matches of one named pattern over the current graph
-    /// *without rewriting*; see the free [`find_matches`] function.
-    pub fn find_matches(&mut self, graph: &Graph, pattern_name: &str) -> Vec<MatchReport> {
-        Driver::new(self.session, self.rules, self.config).find_matches(graph, pattern_name)
-    }
-}
-
-/// Convenience: binds the substitution's entry for a named variable.
-pub fn binding_of(witness: &Witness, theta_name: &str, session: &Session) -> Option<TermId> {
-    let theta: &Subst = &witness.theta;
-    for (v, t) in theta.iter() {
-        if session.syms.var_name(v) == theta_name {
-            return Some(t);
-        }
-    }
-    None
-}
-
-// The unit tests drive the deprecated `Rewriter` shim on purpose: they
-// pin down the exact legacy behaviour the shim must preserve.
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::Pipeline;
     use pypm_dsl::LibraryConfig;
     use pypm_graph::{DType, NodeKind, TensorMeta};
+
+    /// Runs one default [`RewritePass`] to fixpoint.
+    fn rewrite(s: &mut Session, rs: &RuleSet, g: &mut Graph) -> PassStats {
+        Pipeline::new(s)
+            .with(RewritePass::new(rs.clone()))
+            .run(g)
+            .unwrap()
+            .total()
+    }
 
     fn mat(s: &mut Session, g: &mut Graph, dims: &[i64]) -> NodeId {
         g.input(&mut s.syms, TensorMeta::new(DType::F32, dims.to_vec()))
@@ -1105,7 +972,7 @@ mod tests {
             .unwrap();
         g.mark_output(mm);
 
-        let stats = Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+        let stats = rewrite(&mut s, &rs, &mut g);
         assert_eq!(stats.rewrites_fired, 1);
         let out = g.outputs()[0];
         assert_eq!(g.node(out).op, s.ops.cublas_mm_xyt_f32);
@@ -1132,7 +999,7 @@ mod tests {
             .unwrap();
         g.mark_output(mm);
 
-        let stats = Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+        let stats = rewrite(&mut s, &rs, &mut g);
         assert_eq!(stats.rewrites_fired, 0);
         assert!(stats.matches_found > 0);
         assert_eq!(g.node(g.outputs()[0]).op, matmul);
@@ -1172,7 +1039,7 @@ mod tests {
                 .unwrap();
             g.mark_output(gelu);
 
-            let stats = Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+            let stats = rewrite(&mut s, &rs, &mut g);
             assert_eq!(stats.rewrites_fired, 1, "use_div={use_div}");
             assert_eq!(g.node(g.outputs()[0]).op, s.ops.gelu);
             // Gelu(x) over the original input: two live nodes.
@@ -1207,7 +1074,7 @@ mod tests {
             .unwrap();
         g.mark_output(out);
 
-        let stats = Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+        let stats = rewrite(&mut s, &rs, &mut g);
         assert_eq!(stats.rewrites_fired, 1);
         let root = g.outputs()[0];
         assert_eq!(g.node(root).op, s.ops.fmha);
@@ -1230,7 +1097,7 @@ mod tests {
             .unwrap();
         g.mark_output(act);
 
-        let stats = Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+        let stats = rewrite(&mut s, &rs, &mut g);
         assert_eq!(stats.rewrites_fired, 1);
         let root = g.outputs()[0];
         assert_eq!(g.node(root).op, s.ops.gemm_epilog);
@@ -1275,7 +1142,7 @@ mod tests {
             .unwrap();
         g.mark_output(gelu);
 
-        let stats = Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+        let stats = rewrite(&mut s, &rs, &mut g);
         assert_eq!(stats.rewrites_fired, 2);
         let root = g.outputs()[0];
         assert_eq!(g.node(root).op, s.ops.gemm_epilog);
@@ -1301,7 +1168,7 @@ mod tests {
         }
         g.mark_output(cur);
 
-        Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+        rewrite(&mut s, &rs, &mut g);
         // Relu(x) and the input: exactly two live nodes.
         assert_eq!(g.live_count(), 2);
         let root = g.outputs()[0];
@@ -1324,7 +1191,7 @@ mod tests {
             .unwrap();
         g.mark_output(t2);
 
-        Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+        rewrite(&mut s, &rs, &mut g);
         assert_eq!(g.outputs(), &[x]);
         assert_eq!(g.live_count(), 1);
         assert_eq!(g.node(x).kind, NodeKind::Input);
@@ -1356,7 +1223,7 @@ mod tests {
             .unwrap();
         g.mark_output(t2);
 
-        let stats = Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+        let stats = rewrite(&mut s, &rs, &mut g);
         assert_eq!(stats.rewrites_fired, 0);
         assert_eq!(g.live_count(), 4);
     }
@@ -1373,7 +1240,7 @@ mod tests {
             .op(&mut s.syms, &s.registry, add, vec![a, b], vec![])
             .unwrap();
         g.mark_output(sum);
-        let stats = Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+        let stats = rewrite(&mut s, &rs, &mut g);
         assert_eq!(stats.rewrites_fired, 0);
         assert_eq!(stats.sweeps, 1);
     }
@@ -1397,8 +1264,7 @@ mod tests {
             .unwrap();
         g.mark_output(ge);
 
-        let mut rw = Rewriter::new(&mut s, &rs);
-        let matches = rw.find_matches(&g, "MatMulEpilog");
+        let matches = find_matches(&mut s, &rs, &g, "MatMulEpilog");
         // The deepest match is rooted at the gelu node and covers
         // gelu → relu → matmul.
         let at_root = matches.iter().find(|m| m.node == ge).expect("root match");

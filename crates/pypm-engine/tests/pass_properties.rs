@@ -1,17 +1,11 @@
-// Exercises the deprecated pre-Pipeline API on purpose: these suites
-// pin the behaviour the deprecated shims must preserve.
-#![allow(deprecated)]
-
 //! Property tests of the rewrite pass on randomly generated graphs: for
 //! any DAG of standard operators, the pass must terminate, preserve
 //! graph validity, preserve output metadata (rewrites are
 //! semantics-preserving), and be idempotent.
 
 use proptest::prelude::*;
-use pypm_dsl::LibraryConfig;
-use pypm_engine::{
-    MatcherBackend, PassConfig, Pipeline, RewritePass, Rewriter, Session, SweepPolicy,
-};
+use pypm_dsl::{LibraryConfig, RuleSet};
+use pypm_engine::{MatcherBackend, PassStats, Pipeline, RewritePass, Session, SweepPolicy};
 use pypm_graph::{DType, Graph, NodeId, TensorMeta};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,6 +42,15 @@ fn random_graph(s: &mut Session, seed: u64, size: usize) -> Graph {
     g
 }
 
+/// Runs one [`RewritePass`] under `policy` to fixpoint.
+fn rewrite(s: &mut Session, rules: &RuleSet, g: &mut Graph, policy: SweepPolicy) -> PassStats {
+    Pipeline::new(s)
+        .with(RewritePass::new(rules.clone()).policy(policy))
+        .run(g)
+        .unwrap()
+        .total()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -62,7 +65,7 @@ proptest! {
             .map(|&o| g.node(o).meta.clone())
             .collect();
         let rules = s.load_library(LibraryConfig::both());
-        Rewriter::new(&mut s, &rules).run(&mut g).unwrap();
+        rewrite(&mut s, &rules, &mut g, SweepPolicy::default());
         g.validate().unwrap();
         let out_meta_after: Vec<_> = g
             .outputs()
@@ -78,35 +81,27 @@ proptest! {
         let mut s = Session::new();
         let mut g = random_graph(&mut s, seed, size);
         let rules = s.load_library(LibraryConfig::both());
-        Rewriter::new(&mut s, &rules).run(&mut g).unwrap();
-        let second = Rewriter::new(&mut s, &rules).run(&mut g).unwrap();
+        rewrite(&mut s, &rules, &mut g, SweepPolicy::default());
+        let second = rewrite(&mut s, &rules, &mut g, SweepPolicy::default());
         prop_assert_eq!(second.rewrites_fired, 0);
     }
 
-    /// Policy equivalence on random graphs: all three sweep policies
-    /// reach graphs of identical size and output metadata (they may pick
+    /// Policy equivalence on random graphs: both sweep policies reach
+    /// graphs of identical size and output metadata (they may pick
     /// different-but-equivalent fixpoints only if the rule set is
     /// non-confluent; the library's rules are confluent on this operator
     /// set, so the results must agree exactly in size).
     #[test]
     fn sweep_policies_agree_on_random_graphs(seed in any::<u64>(), size in 1usize..30) {
         let mut results = Vec::new();
-        for policy in [
-            SweepPolicy::RestartOnRewrite,
-            SweepPolicy::ContinueSweep,
-            SweepPolicy::Incremental,
-        ] {
+        for policy in SweepPolicy::ALL {
             let mut s = Session::new();
             let mut g = random_graph(&mut s, seed, size);
             let rules = s.load_library(LibraryConfig::both());
-            let stats = Rewriter::new(&mut s, &rules)
-                .with_config(PassConfig { sweep_policy: policy, ..Default::default() })
-                .run(&mut g)
-                .unwrap();
+            let stats = rewrite(&mut s, &rules, &mut g, policy);
             results.push((stats.rewrites_fired, g.live_count()));
         }
         prop_assert_eq!(results[0], results[1]);
-        prop_assert_eq!(results[0], results[2]);
     }
 
     /// The incremental worklist must be *byte-identical* to restarting —
@@ -135,10 +130,7 @@ proptest! {
                 .map(|(_, p)| p)
                 .collect();
             rules.patterns = kept;
-            let stats = Rewriter::new(&mut s, &rules)
-                .with_config(PassConfig { sweep_policy: policy, ..Default::default() })
-                .run(&mut g)
-                .unwrap();
+            let stats = rewrite(&mut s, &rules, &mut g, policy);
             g.validate().unwrap();
             // Node-id-level snapshot: (id, op name, inputs) per
             // reachable node plus outputs. Identical rewrite sequences
@@ -172,7 +164,7 @@ proptest! {
         seed in any::<u64>(),
         size in 1usize..30,
         mask in 1u32..u32::MAX,
-        policy_idx in 0usize..3,
+        policy_idx in 0usize..2,
     ) {
         let policy = SweepPolicy::ALL[policy_idx];
         let mut snapshots = Vec::new();
@@ -229,7 +221,7 @@ proptest! {
     fn batch_compile_is_byte_identical_to_sequential_runs(
         seed in any::<u64>(),
         sizes in prop::collection::vec(1usize..20, 1..4),
-        policy_idx in 0usize..3,
+        policy_idx in 0usize..2,
     ) {
         let policy = SweepPolicy::ALL[policy_idx];
         let snapshot = |s: &Session, g: &Graph| -> Vec<(NodeId, String, Vec<NodeId>)> {
@@ -284,7 +276,7 @@ proptest! {
         let mut g = random_graph(&mut s, seed, size);
         let before = g.live_count();
         let rules = s.load_library(LibraryConfig::both());
-        Rewriter::new(&mut s, &rules).run(&mut g).unwrap();
+        rewrite(&mut s, &rules, &mut g, SweepPolicy::default());
         prop_assert!(g.live_count() <= before);
     }
 
@@ -294,7 +286,7 @@ proptest! {
         let mut s = Session::new();
         let mut g = random_graph(&mut s, seed, size);
         let rules = s.load_library(LibraryConfig::both());
-        let stats = Rewriter::new(&mut s, &rules).run(&mut g).unwrap();
+        let stats = rewrite(&mut s, &rules, &mut g, SweepPolicy::default());
         prop_assert!(stats.match_attempts >= stats.matches_found);
         prop_assert!(stats.matches_found >= stats.rewrites_fired);
         prop_assert!(stats.sweeps >= 1);

@@ -1,15 +1,21 @@
-// Exercises the deprecated pre-Pipeline API on purpose: these suites
-// pin the behaviour the deprecated shims must preserve.
-#![allow(deprecated)]
-
 //! The two sweep policies must reach the same fixpoint on the library's
-//! rule sets (they may differ in traversal counts, which is the point of
-//! the scheduling ablation).
+//! rule sets (they differ in traversal counts, which is the point of
+//! the scheduling ablation), and the pass's safety bounds (rewrite cap,
+//! machine fuel) must hold under both.
 
-use pypm_dsl::LibraryConfig;
-use pypm_engine::{PassConfig, Rewriter, Session, SweepPolicy};
+use pypm_dsl::{LibraryConfig, RuleSet};
+use pypm_engine::{PassConfig, PassStats, Pipeline, RewritePass, Session, SweepPolicy};
 use pypm_graph::{DType, Graph, TensorMeta};
 use pypm_perf::CostModel;
+
+/// Runs one [`RewritePass`] with `config` to fixpoint.
+fn rewrite(s: &mut Session, rules: &RuleSet, g: &mut Graph, config: PassConfig) -> PassStats {
+    Pipeline::new(s)
+        .with(RewritePass::new(rules.clone()).config(config))
+        .run(g)
+        .unwrap()
+        .total()
+}
 
 fn run_policy(policy: SweepPolicy, build: impl Fn(&mut Session) -> Graph) -> (u64, usize, f64) {
     let mut s = Session::new();
@@ -19,10 +25,7 @@ fn run_policy(policy: SweepPolicy, build: impl Fn(&mut Session) -> Graph) -> (u6
         sweep_policy: policy,
         ..Default::default()
     };
-    let stats = Rewriter::new(&mut s, &rules)
-        .with_config(cfg)
-        .run(&mut g)
-        .unwrap();
+    let stats = rewrite(&mut s, &rules, &mut g, cfg);
     g.validate().unwrap();
     let cost = CostModel::new().graph_cost(&g, &s.syms, &s.registry, &s.ops);
     (stats.rewrites_fired, g.live_count(), cost)
@@ -36,18 +39,10 @@ fn policies_agree_on_transformers() {
             .find(|c| c.name == name)
             .unwrap();
         let restart = run_policy(SweepPolicy::RestartOnRewrite, |s| cfg.build(s));
-        for policy in [SweepPolicy::ContinueSweep, SweepPolicy::Incremental] {
-            let other = run_policy(policy, |s| cfg.build(s));
-            assert_eq!(
-                restart.0, other.0,
-                "{name}/{policy:?}: rewrite counts differ"
-            );
-            assert_eq!(restart.1, other.1, "{name}/{policy:?}: node counts differ");
-            assert!(
-                (restart.2 - other.2).abs() < 1e-6,
-                "{name}/{policy:?}: costs differ"
-            );
-        }
+        let other = run_policy(SweepPolicy::Incremental, |s| cfg.build(s));
+        assert_eq!(restart.0, other.0, "{name}: rewrite counts differ");
+        assert_eq!(restart.1, other.1, "{name}: node counts differ");
+        assert!((restart.2 - other.2).abs() < 1e-6, "{name}: costs differ");
     }
 }
 
@@ -59,29 +54,23 @@ fn policies_agree_on_cnns() {
             .find(|c| c.name == name)
             .unwrap();
         let restart = run_policy(SweepPolicy::RestartOnRewrite, |s| cfg.build(s));
-        for policy in [SweepPolicy::ContinueSweep, SweepPolicy::Incremental] {
-            let other = run_policy(policy, |s| cfg.build(s));
-            assert_eq!(restart.0, other.0, "{name}/{policy:?}");
-            assert_eq!(restart.1, other.1, "{name}/{policy:?}");
-        }
+        let other = run_policy(SweepPolicy::Incremental, |s| cfg.build(s));
+        assert_eq!(restart.0, other.0, "{name}");
+        assert_eq!(restart.1, other.1, "{name}");
     }
 }
 
 #[test]
 fn scheduling_ablation_orders_traversal_work() {
     // The scheduling ablation in one assertion chain: restarting
-    // revisits the most nodes, continuing fewer, the dirty-node
-    // worklist the fewest.
+    // revisits nodes, the dirty-node worklist visits fewer and tries
+    // fewer matches.
     let cfg = pypm_models::hf_zoo()
         .into_iter()
         .find(|c| c.name == "bert-base")
         .unwrap();
     let mut visits = Vec::new();
-    for policy in [
-        SweepPolicy::RestartOnRewrite,
-        SweepPolicy::ContinueSweep,
-        SweepPolicy::Incremental,
-    ] {
+    for policy in SweepPolicy::ALL {
         let mut s = Session::new();
         let mut g = cfg.build(&mut s);
         let rules = s.load_library(LibraryConfig::both());
@@ -89,28 +78,19 @@ fn scheduling_ablation_orders_traversal_work() {
             sweep_policy: policy,
             ..Default::default()
         };
-        let stats = Rewriter::new(&mut s, &rules)
-            .with_config(pc)
-            .run(&mut g)
-            .unwrap();
+        let stats = rewrite(&mut s, &rules, &mut g, pc);
         visits.push((stats.nodes_visited, stats.match_attempts));
     }
     assert!(
         visits[1].0 < visits[0].0,
-        "continue {} should visit fewer nodes than restart {}",
+        "incremental {} should visit fewer nodes than restart {}",
         visits[1].0,
         visits[0].0
     );
     assert!(
-        visits[2].0 < visits[1].0,
-        "incremental {} should visit fewer nodes than continue {}",
-        visits[2].0,
-        visits[1].0
-    );
-    assert!(
-        visits[2].1 < visits[0].1,
+        visits[1].1 < visits[0].1,
         "incremental {} should try fewer matches than restart {}",
-        visits[2].1,
+        visits[1].1,
         visits[0].1
     );
 }
@@ -129,10 +109,7 @@ fn incremental_respects_max_rewrites() {
         sweep_policy: SweepPolicy::Incremental,
         ..Default::default()
     };
-    let stats = Rewriter::new(&mut s, &rules)
-        .with_config(pc)
-        .run(&mut g)
-        .unwrap();
+    let stats = rewrite(&mut s, &rules, &mut g, pc);
     assert_eq!(stats.rewrites_fired, 3);
     g.validate().unwrap();
 }
@@ -148,12 +125,10 @@ fn max_rewrites_bounds_the_pass() {
     let mut g = cfg.build(&mut s);
     let pc = PassConfig {
         max_rewrites: 3,
+        sweep_policy: SweepPolicy::RestartOnRewrite,
         ..Default::default()
     };
-    let stats = Rewriter::new(&mut s, &rules)
-        .with_config(pc)
-        .run(&mut g)
-        .unwrap();
+    let stats = rewrite(&mut s, &rules, &mut g, pc);
     assert_eq!(stats.rewrites_fired, 3);
     g.validate().unwrap();
 }
@@ -162,7 +137,7 @@ fn max_rewrites_bounds_the_pass() {
 fn tiny_fuel_degrades_gracefully() {
     // With almost no machine fuel every attempt "fails" (OutOfFuel is
     // treated as no-match); the pass must terminate cleanly with zero
-    // rewrites rather than erroring.
+    // rewrites rather than erroring, under either policy.
     let mut s = Session::new();
     let rules = s.load_library(LibraryConfig::both());
     let mut g = Graph::new();
@@ -175,13 +150,13 @@ fn tiny_fuel_degrades_gracefully() {
         .op(&mut s.syms, &s.registry, s.ops.relu, vec![mm], vec![])
         .unwrap();
     g.mark_output(r);
-    let pc = PassConfig {
-        machine_fuel: 2,
-        ..Default::default()
-    };
-    let stats = Rewriter::new(&mut s, &rules)
-        .with_config(pc)
-        .run(&mut g)
-        .unwrap();
-    assert_eq!(stats.rewrites_fired, 0);
+    for policy in SweepPolicy::ALL {
+        let pc = PassConfig {
+            machine_fuel: 2,
+            sweep_policy: policy,
+            ..Default::default()
+        };
+        let stats = rewrite(&mut s, &rules, &mut g, pc);
+        assert_eq!(stats.rewrites_fired, 0, "{policy}");
+    }
 }

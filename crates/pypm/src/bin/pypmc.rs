@@ -27,10 +27,9 @@
 //! Configurations `C`: `baseline`, `fmha`, `epilog`, `both` (default),
 //! `all` — each optionally suffixed `+synthN` (e.g. `all+synth39`) to
 //! append `N` synthetic never-matching rules for matcher-scaling
-//! experiments. Sweep policies `P`: `restart` (paper-faithful,
-//! default), `continue`, `incremental` (dirty-node worklist; identical
-//! result, fewest match attempts). `--policy` is accepted as a
-//! deprecated alias of `--sweep-policy`. Matcher backends `M`: `fused`
+//! experiments. Sweep policies `P`: `incremental` (default; dirty-node
+//! worklist, fewest match attempts) or `restart` (the paper's reference
+//! loop); both fire the identical rewrite sequence. Matcher backends `M`: `fused`
 //! (default — one discrimination tree over the whole rule set) or
 //! `per-pattern` (the reference ablation); both fire byte-identical
 //! rewrite sequences. Each compile is serial. With several models, the
@@ -66,6 +65,7 @@ use pypm::cli_args::{self, parse_or_usage, Spec};
 use pypm::dsl::{binary, text, LibraryConfig};
 use pypm::engine::{
     explain_at, ExplainObserver, Partition, PartitionPass, Pipeline, RewritePass, Session,
+    SweepPolicy,
 };
 use pypm::graph::Graph;
 use pypm::perf::CostModel;
@@ -140,13 +140,7 @@ fn compile(args: &[String]) -> i32 {
         usage: "pypmc compile <model>... [--config C] [--sweep-policy P] [--matcher M] \
                 [--stats-json FILE] [--dot]",
         positionals: (1, usize::MAX),
-        value_flags: &[
-            "--config",
-            "--sweep-policy",
-            "--policy",
-            "--matcher",
-            "--stats-json",
-        ],
+        value_flags: &["--config", "--sweep-policy", "--matcher", "--stats-json"],
         bool_flags: &["--dot"],
     };
     let parsed = match parse_or_usage(&spec, args) {
@@ -159,8 +153,6 @@ fn compile(args: &[String]) -> i32 {
         eprintln!("unknown config {config_arg}");
         return 2;
     };
-    // `--policy` survives as an alias from before the incremental
-    // scheduler; `--sweep-policy` wins when both are given.
     let policy = match cli_args::resolve_policy(&parsed) {
         Ok(policy) => policy,
         Err(e) => {
@@ -602,7 +594,7 @@ most expensive failed attempt:
     // pattern actually fired or was rejected.
     let explain = ExplainObserver::for_pattern(pattern.as_str()).shared();
     let outcome = Pipeline::new(&mut s)
-        .with(RewritePass::new(rules))
+        .with(RewritePass::new(rules).policy(SweepPolicy::RestartOnRewrite))
         .observe(explain.clone())
         .run(&mut g);
     if let Err(e) = outcome {

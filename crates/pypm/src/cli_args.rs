@@ -15,10 +15,8 @@
 //!   `+synthN` to append `N` synthetic never-matching rules
 //!   (`all+synth39` is the 4×-rules benchmark point; see
 //!   [`LibraryConfig::with_synth`]),
-//! * **sweep policies** ([`resolve_policy`]) — `--policy` stays a
-//!   documented alias of `--sweep-policy`, with `--sweep-policy`
-//!   winning when both are given, and both producing the same exit-2
-//!   diagnostic on an unknown name,
+//! * **sweep policies** ([`resolve_policy`]) — `restart|incremental`,
+//!   defaulting to [`SweepPolicy::default`],
 //! * **matcher backends** ([`resolve_matcher`]) —
 //!   `per-pattern|fused`: explicit flag, then the `PYPM_MATCHER`
 //!   environment override, then the fused default.
@@ -67,7 +65,7 @@ impl Parsed {
 
 /// Parses `args` against `spec`. Unknown flags, missing flag values and
 /// out-of-range positional counts are errors — `pypmc compile bert
-/// --polcy continue` must fail loudly, not silently run the default
+/// --polcy restart` must fail loudly, not silently run the default
 /// policy.
 ///
 /// # Errors
@@ -162,19 +160,15 @@ pub fn parse_policy(name: &str) -> Result<SweepPolicy, String> {
 }
 
 /// Resolves the sweep policy from `--sweep-policy`, falling back to the
-/// deprecated `--policy` alias (kept from before the incremental
-/// scheduler; `--sweep-policy` wins when both are given), then the
-/// restart default. Both spellings fail with the identical diagnostic.
+/// engine default ([`SweepPolicy::default`]).
 ///
 /// # Errors
 ///
 /// Propagates [`parse_policy`]'s diagnostic.
 pub fn resolve_policy(parsed: &Parsed) -> Result<SweepPolicy, String> {
-    let arg = parsed
+    parsed
         .value("--sweep-policy")
-        .or_else(|| parsed.value("--policy"))
-        .unwrap_or("restart");
-    parse_policy(arg)
+        .map_or(Ok(SweepPolicy::default()), parse_policy)
 }
 
 /// Parses a matcher-backend name with the shared diagnostic.
@@ -232,7 +226,7 @@ mod tests {
         Spec {
             usage: "test",
             positionals: (0, 1),
-            value_flags: &["--config", "--sweep-policy", "--policy", "--matcher"],
+            value_flags: &["--config", "--sweep-policy", "--matcher"],
             bool_flags: &["--dot"],
         }
     }
@@ -244,7 +238,7 @@ mod tests {
 
     #[test]
     fn rejects_unknown_flags_missing_values_and_stray_positionals() {
-        assert!(parse(&["--polcy", "continue"])
+        assert!(parse(&["--polcy", "restart"])
             .unwrap_err()
             .contains("unknown flag"));
         assert!(parse(&["--matcher"]).unwrap_err().contains("missing value"));
@@ -279,18 +273,20 @@ mod tests {
     }
 
     #[test]
-    fn policy_alias_resolves_identically_and_sweep_policy_wins() {
-        let both = parse(&["--sweep-policy", "incremental", "--policy", "continue"]).unwrap();
-        assert_eq!(resolve_policy(&both), Ok(SweepPolicy::Incremental));
-        let alias = parse(&["--policy", "continue"]).unwrap();
-        assert_eq!(resolve_policy(&alias), Ok(SweepPolicy::ContinueSweep));
+    fn sweep_policy_resolves_with_the_engine_default() {
+        let restart = parse(&["--sweep-policy", "restart"]).unwrap();
+        assert_eq!(resolve_policy(&restart), Ok(SweepPolicy::RestartOnRewrite));
+        let incremental = parse(&["--sweep-policy", "incremental"]).unwrap();
+        assert_eq!(resolve_policy(&incremental), Ok(SweepPolicy::Incremental));
         let neither = parse(&[]).unwrap();
-        assert_eq!(resolve_policy(&neither), Ok(SweepPolicy::RestartOnRewrite));
-        // Identical diagnostics whichever spelling carried the bad name.
-        let bad_alias = parse(&["--policy", "bogus"]).unwrap();
-        let bad_flag = parse(&["--sweep-policy", "bogus"]).unwrap();
-        assert_eq!(resolve_policy(&bad_alias), resolve_policy(&bad_flag));
-        assert!(resolve_policy(&bad_alias).unwrap_err().contains("restart|"));
+        assert_eq!(resolve_policy(&neither), Ok(SweepPolicy::default()));
+        // The removed `continue` policy and the removed `--policy`
+        // alias both fail loudly.
+        let err = resolve_policy(&parse(&["--sweep-policy", "continue"]).unwrap()).unwrap_err();
+        assert!(err.contains("restart|incremental"), "{err}");
+        assert!(parse(&["--policy", "restart"])
+            .unwrap_err()
+            .contains("unknown flag"));
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //!
 //! `C`, `P` and `M` take exactly the `pypmc compile` vocabulary
 //! ([`crate::cli_args`]: `baseline|fmha|epilog|both|all` with an
-//! optional `+synthN` scaling suffix, `restart|continue|incremental`,
+//! optional `+synthN` scaling suffix, `restart|incremental`,
 //! `per-pattern|fused` — both spellings are the *same* parser, so the
 //! flag and its `key=value` twin can never drift).
 //! A successful `compile` responds with the request's
@@ -302,7 +302,7 @@ fn parse_request(line: &str) -> Result<Request, String> {
             let mut req = CompileRequest {
                 model: model.to_owned(),
                 config: LibraryConfig::both(),
-                policy: SweepPolicy::RestartOnRewrite,
+                policy: SweepPolicy::default(),
                 matcher: MatcherBackend::default(),
                 timeout_ms: None,
                 step_limit: None,
@@ -1582,7 +1582,7 @@ mod tests {
             Ok(Request::Compile(CompileRequest {
                 model: "bert-tiny".to_owned(),
                 config: LibraryConfig::both(),
-                policy: SweepPolicy::RestartOnRewrite,
+                policy: SweepPolicy::Incremental,
                 matcher: MatcherBackend::Fused,
                 timeout_ms: None,
                 step_limit: None,
@@ -1590,13 +1590,13 @@ mod tests {
         );
         assert_eq!(
             parse_request(
-                "compile vgg11 config=all+synth39 policy=incremental matcher=per-pattern \
+                "compile vgg11 config=all+synth39 policy=restart matcher=per-pattern \
                  timeout_ms=250 step_limit=100000"
             ),
             Ok(Request::Compile(CompileRequest {
                 model: "vgg11".to_owned(),
                 config: LibraryConfig::all().with_synth(39),
-                policy: SweepPolicy::Incremental,
+                policy: SweepPolicy::RestartOnRewrite,
                 matcher: MatcherBackend::PerPattern,
                 timeout_ms: Some(250),
                 step_limit: Some(100_000),
@@ -1612,6 +1612,10 @@ mod tests {
         assert!(parse_request("compile m config=bogus").is_err());
         assert!(parse_request("compile m config=all+synthX").is_err());
         assert!(parse_request("compile m policy=bogus").is_err());
+        // The removed `continue` policy is an unknown name.
+        assert!(parse_request("compile m policy=continue")
+            .unwrap_err()
+            .contains("restart|incremental"));
         assert!(parse_request("compile m matcher=bogus").is_err());
         // Compiles are serial; the former worker-count key is unknown.
         assert!(parse_request("compile m jobs=2")
@@ -1682,7 +1686,7 @@ mod tests {
             req: CompileRequest {
                 model: "m".to_owned(),
                 config: LibraryConfig::both(),
-                policy: SweepPolicy::RestartOnRewrite,
+                policy: SweepPolicy::default(),
                 matcher: MatcherBackend::Fused,
                 timeout_ms: None,
                 step_limit: None,

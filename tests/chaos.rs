@@ -83,7 +83,7 @@ impl Rng {
 }
 
 const MODELS: &[&str] = &["bert-tiny", "bert-small", "vgg11"];
-const POLICIES: &[&str] = &["restart", "continue", "incremental"];
+const POLICIES: &[&str] = &["restart", "incremental"];
 const MATCHERS: &[&str] = &["per-pattern", "fused"];
 
 /// Masks `wall_ms` and `duration_ms` — the only legitimately volatile

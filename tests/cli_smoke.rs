@@ -46,10 +46,10 @@ fn compile_unknown_model_fails() {
 
 #[test]
 fn compile_accepts_every_sweep_policy() {
-    // All three schedulers reach the same fixpoint; the CLI reports the
-    // same rewrite count and final cost line for each.
+    // Both policies reach the same fixpoint; the CLI reports the same
+    // rewrite count and final cost line for each.
     let mut rewrite_lines = Vec::new();
-    for policy in ["restart", "continue", "incremental"] {
+    for policy in ["restart", "incremental"] {
         let out = pypmc(&["compile", "bert-tiny", "--sweep-policy", policy]);
         assert!(out.status.success(), "{policy}: {out:?}");
         let text = stdout(&out);
@@ -66,13 +66,6 @@ fn compile_accepts_every_sweep_policy() {
         rewrite_lines.push(line);
     }
     assert_eq!(rewrite_lines[0], rewrite_lines[1]);
-    assert_eq!(rewrite_lines[0], rewrite_lines[2]);
-}
-
-#[test]
-fn compile_policy_alias_still_works() {
-    let out = pypmc(&["compile", "bert-tiny", "--policy", "incremental"]);
-    assert!(out.status.success(), "{out:?}");
 }
 
 #[test]
@@ -172,19 +165,31 @@ fn compile_unknown_sweep_policy_fails_loudly() {
         "should name the bad value: {err}"
     );
     assert!(
-        err.contains("restart|continue|incremental"),
+        err.contains("restart|incremental"),
         "should list the vocabulary: {err}"
     );
+    // The removed `continue` policy is an unknown name like any other.
+    let out = pypmc(&["compile", "bert-tiny", "--sweep-policy", "continue"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown sweep policy continue"), "{err}");
+    assert!(err.contains("(want restart|incremental)"), "{err}");
 }
 
 #[test]
 fn unknown_flags_are_rejected_with_usage() {
     // The classic typo: `--polcy` must not silently run the default
     // policy.
-    let out = pypmc(&["compile", "bert-tiny", "--polcy", "continue"]);
+    let out = pypmc(&["compile", "bert-tiny", "--polcy", "restart"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown flag --polcy"), "{err}");
+    assert!(err.contains("usage: pypmc compile"), "{err}");
+    // The former `--policy` alias of `--sweep-policy` is unknown too.
+    let out = pypmc(&["compile", "bert-tiny", "--policy", "incremental"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --policy"), "{err}");
     assert!(err.contains("usage: pypmc compile"), "{err}");
     // Compiles are serial: the former worker-count flag is unknown.
     let out = pypmc(&["compile", "bert-tiny", "--jobs", "1"]);
@@ -267,9 +272,9 @@ fn batch_compile_stats_json_wraps_per_model_reports() {
 
 #[test]
 fn flag_missing_value_is_rejected() {
-    let out = pypmc(&["compile", "bert-tiny", "--policy"]);
+    let out = pypmc(&["compile", "bert-tiny", "--sweep-policy"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("missing value for --policy"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("missing value for --sweep-policy"));
 }
 
 #[test]
@@ -294,7 +299,40 @@ fn compile_stats_json_writes_pipeline_report() {
     assert!(json.contains("\"nodes_reindexed\""), "{json}");
     assert!(json.contains("\"matcher\": {\"backend\""), "{json}");
     assert!(!json.contains("\"parallel\""), "{json}");
+    // The default policy is incremental: a no-flag compile reports
+    // exactly what `--sweep-policy incremental` reports, wall clocks
+    // aside.
+    let report = |extra: &[&str]| {
+        let mut args = vec![
+            "compile",
+            "bert-small",
+            "--stats-json",
+            path.to_str().unwrap(),
+        ];
+        args.extend_from_slice(extra);
+        let out = pypmc(&args);
+        assert!(out.status.success(), "{extra:?}: {out:?}");
+        mask_wall_clocks(&std::fs::read_to_string(&path).unwrap())
+    };
+    assert_eq!(report(&[]), report(&["--sweep-policy", "incremental"]));
+    assert_ne!(report(&[]), report(&["--sweep-policy", "restart"]));
     std::fs::remove_file(&path).ok();
+}
+
+/// Masks the `wall_ms` / `duration_ms` values of a `pypm.pipeline.v1`
+/// document, the only fields that differ between identical compiles.
+fn mask_wall_clocks(json: &str) -> String {
+    let mut out = String::with_capacity(json.len());
+    for (i, piece) in json.split("_ms\": ").enumerate() {
+        if i == 0 {
+            out.push_str(piece);
+            continue;
+        }
+        out.push_str("_ms\": _");
+        let value_len = piece.find([',', '}', '\n']).unwrap_or(piece.len());
+        out.push_str(&piece[value_len..]);
+    }
+    out
 }
 
 #[test]

@@ -85,7 +85,7 @@ fn hits_are_byte_identical_across_zoo_policies_and_matchers() {
         .collect();
     let mut expected_hits = 0;
     for name in &names {
-        for policy in ["restart", "continue", "incremental"] {
+        for policy in ["restart", "incremental"] {
             for matcher in ["per-pattern", "fused"] {
                 let cold = compile_ok(&mut client, name, policy, matcher);
                 let hit = compile_ok(&mut client, name, policy, matcher);

@@ -73,7 +73,7 @@ fn all_request_parameters_are_honored() {
     let mut c = Client::connect(server.addr()).unwrap();
     for line in [
         "compile bert-tiny config=baseline policy=incremental",
-        "compile vgg11 config=all policy=continue matcher=per-pattern",
+        "compile vgg11 config=all policy=restart matcher=per-pattern",
         "compile bert-tiny config=fmha",
         "compile bert-tiny config=epilog policy=restart",
     ] {
